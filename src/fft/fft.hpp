@@ -7,11 +7,13 @@
 // transforms are unnormalized (matching the Hopkins conventions in
 // DESIGN.md §5); inverse transforms scale by 1/n.
 //
-// Hot paths that transform many same-sized grids (the AerialEngine,
-// DESIGN.md §6) pass an Fft2Workspace so no per-transform heap allocation
-// happens: the workspace holds the column gather buffer and the Bluestein
-// convolution scratch that the plain entry points otherwise allocate per
-// call.
+// Hot paths that transform many same-sized grids pass an Fft2Workspace so
+// no per-transform heap allocation happens: the workspace holds the column
+// gather buffer and the Bluestein convolution scratch that the plain entry
+// points otherwise allocate per call.  The pruned SOCS inverse shared by the
+// AerialEngine and the batched autodiff ops (fft/pruned.hpp, DESIGN.md §6)
+// runs on the *_many entry points below over one thread-local workspace
+// per worker.
 
 #include <complex>
 #include <memory>

@@ -6,6 +6,7 @@
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
+#include "fft/pruned.hpp"
 
 namespace nitho {
 namespace {
@@ -24,21 +25,6 @@ constexpr std::int64_t kMaxPartialBytes = 256 << 20;
 
 }  // namespace
 
-/// Per-thread scratch: the out_px^2 field buffer the fused scatter writes
-/// into (row-major, cache-line aligned for the SIMD kernels — DESIGN.md
-/// §13.3) and the FFT workspace (column buffer + Bluestein scratch).
-struct AerialEngine::Workspace {
-  explicit Workspace(int out_px)
-      : out(out_px),
-        field(static_cast<std::size_t>(out_px) * static_cast<std::size_t>(out_px)) {}
-  cd* row(int r) {
-    return field.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(out);
-  }
-  int out;
-  aligned_vector<cd> field;
-  Fft2Workspace fft;
-};
-
 AerialEngine::AerialEngine(std::vector<Grid<cd>> kernels, int out_px)
     : AerialEngine(std::make_shared<const std::vector<Grid<cd>>>(
                        std::move(kernels)),
@@ -55,88 +41,50 @@ AerialEngine::AerialEngine(
   }
   check(out_px_ >= kdim_, "output grid must fit the kernel support");
   out_plan_ = &fft_plan_d(out_px_);
-
-  // Fused embed + ifftshift: kernel entry (r, c) lands on field row/col
-  // scatter_[r] / scatter_[c], i.e. at (out/2 - kdim/2 + r + (out+1)/2)
-  // mod out — exactly where ifftshift(center_embed(...)) would put it.
-  const int e0 = out_px_ / 2 - kdim_ / 2;
-  const int sh = (out_px_ + 1) / 2;
-  scatter_.resize(static_cast<std::size_t>(kdim_));
-  for (int r = 0; r < kdim_; ++r) {
-    scatter_[static_cast<std::size_t>(r)] = (e0 + r + sh) % out_px_;
-  }
-  band_rows_.assign(scatter_.begin(), scatter_.end());
-  std::sort(band_rows_.begin(), band_rows_.end());
-}
-
-AerialEngine::~AerialEngine() = default;
-
-std::unique_ptr<AerialEngine::Workspace> AerialEngine::acquire_workspace()
-    const {
-  {
-    LockGuard lk(ws_mu_);
-    if (!ws_pool_.empty()) {
-      std::unique_ptr<Workspace> ws = std::move(ws_pool_.back());
-      ws_pool_.pop_back();
-      return ws;
-    }
-  }
-  return std::make_unique<Workspace>(out_px_);
-}
-
-void AerialEngine::release_workspace(std::unique_ptr<Workspace> ws) const {
-  // Keep enough idle workspaces for a full pool dispatch plus a few pinned
-  // external callers (serving shards); beyond that, burst workspaces are
-  // cheaper to reallocate than to pin for the engine's lifetime.
-  const std::size_t cap = static_cast<std::size_t>(parallel_workers()) + 4;
-  LockGuard lk(ws_mu_);
-  if (ws_pool_.size() < cap) ws_pool_.push_back(std::move(ws));
+  crop_ = CropBand(kdim_, out_px_);
 }
 
 void AerialEngine::accumulate_kernel(const Grid<cd>& kernel,
                                      const Grid<cd>& spectrum, int r0, int c0,
-                                     Workspace& ws,
                                      Grid<double>& local) const {
-  std::fill(ws.field.begin(), ws.field.end(), cd(0.0, 0.0));
-  // Fused crop -> kernel-multiply -> embed/shift: the product of kernel and
-  // cropped-spectrum entries goes straight to its post-ifftshift slot.  The
-  // column map (e0 + c + sh) mod out ascends by 1 per kernel column, so a
-  // row scatters as at most two contiguous destination segments — each a
-  // straight elementwise complex multiply the SIMD layer can vectorize
-  // across pixels.
-  const int seg_start = scatter_[0];
-  const int seg1 = std::min(kdim_, out_px_ - seg_start);
+  // Per-thread scratch: the out_px^2 field (cache-line aligned for the SIMD
+  // kernels, DESIGN.md §13.3) and the FFT workspace.  parallel_for tasks
+  // never nest, so a function-local thread_local is held exclusively for
+  // the duration of a call — the idiom of nn/ops_fft's train_ws().  Grown,
+  // never shrunk: band rows are rewritten densely per kernel and the pruned
+  // inverse never reads another row, so a larger grid's leftovers are inert.
+  struct Scratch {
+    aligned_vector<cd> field;
+    Fft2Workspace fft;
+  };
+  static thread_local Scratch ws;
+  const std::size_t cells =
+      static_cast<std::size_t>(out_px_) * static_cast<std::size_t>(out_px_);
+  if (ws.field.size() < cells) ws.field.resize(cells);
+  cd* field = ws.field.data();
+  // Fused crop -> kernel-multiply -> embed/shift: each kernel row's products
+  // go straight to their post-ifftshift slots (bit-reversed on radix-2
+  // grids, so the inverse skips its permutation pass).
+  const int* brev = out_plan_->bitrev_table();
+  cd* tmp = brev != nullptr ? ws.fft.col_buffer(kdim_) : nullptr;
+  // Square kernels: columns land where rows do, starting at rows[0].
+  const int col0 = crop_.rows[0];
   for (int r = 0; r < kdim_; ++r) {
-    const cd* krow = kernel.row(r);
-    const cd* srow = spectrum.row(r0 + r) + c0;
-    cd* frow = ws.row(scatter_[static_cast<std::size_t>(r)]);
-    simd::cmul(frow + seg_start, krow, srow, seg1);
-    simd::cmul(frow, krow + seg1, srow + seg1, kdim_ - seg1);
+    const int fr = crop_.rows[static_cast<std::size_t>(r)];
+    scatter_band_row(field + static_cast<std::ptrdiff_t>(fr) * out_px_,
+                     kernel.row(r), spectrum.row(r0 + r) + c0, kdim_, out_px_,
+                     col0, brev, tmp);
   }
-  // Inverse 2-D transform, rows then columns, pruned to the band rows: a
-  // structurally zero row inverse-transforms to (signed) zeros, which only
-  // ever enter the column pass additively, and |.|^2 erases the sign of
-  // zero — so skipping them cannot change any bit of the intensity
-  // (DESIGN.md §6.3).
-  cd* scratch = ws.fft.scratch_for(*out_plan_);
-  for (const int r : band_rows_) {
-    out_plan_->inverse(ws.row(r), scratch);
-  }
-  cd* col = ws.fft.col_buffer(out_px_);
-  const cd* field = ws.field.data();
-  for (int c = 0; c < out_px_; ++c) {
-    for (int r = 0; r < out_px_; ++r) {
-      col[r] = field[static_cast<std::size_t>(r) * out_px_ + c];
-    }
-    out_plan_->inverse(col, scratch);
-    for (int r = 0; r < out_px_; ++r) {
-      ws.field[static_cast<std::size_t>(r) * out_px_ + c] = col[r];
-    }
-  }
-  // Undo the inverse transforms' 1/out^2 so the field matches the
-  // unnormalized Hopkins convention (DESIGN.md §5.1), then accumulate the
-  // coherent intensity.  The kernel's scale-then-square order reproduces
-  // the historical arithmetic exactly.
+  // Pruned inverse 2-D transform, written back unscaled; the 1/out^2 is
+  // undone with the squaring below so the field matches the unnormalized
+  // Hopkins convention (DESIGN.md §5.1).  The kernel's scale-then-square
+  // order reproduces the historical arithmetic exactly.
+  const int s = out_px_;
+  ifft2_pruned_run(field, s, crop_.band, *out_plan_, ws.fft, brev != nullptr,
+                   [field, s](int r, int cb0, int cb, const cd* cols, double) {
+                     cd* dst = field + static_cast<std::ptrdiff_t>(r) * s + cb0;
+                     for (int q = 0; q < cb; ++q) dst[q] = cols[q * s + r];
+                   });
   const double scale = static_cast<double>(out_px_) * out_px_;
   simd::abs2_scale_accum(local.data(), field, scale,
                          static_cast<std::int64_t>(local.size()));
@@ -188,16 +136,14 @@ std::vector<Grid<double>> AerialEngine::aerial_batch(
       const Grid<cd>& spectrum = *spectra[static_cast<std::size_t>(b)];
       const int r0 = spectrum.rows() / 2 - kdim_ / 2;
       const int c0 = spectrum.cols() / 2 - kdim_ / 2;
-      std::unique_ptr<Workspace> ws = acquire_workspace();
       Grid<double> local(out_px_, out_px_, 0.0);
       const std::int64_t begin = ci * kGrain;
       const std::int64_t end = std::min(n, begin + kGrain);
       for (std::int64_t i = begin; i < end; ++i) {
         accumulate_kernel(kernels[static_cast<std::size_t>(i)], spectrum, r0,
-                          c0, *ws, local);
+                          c0, local);
       }
       partial[static_cast<std::size_t>(ti)] = std::move(local);
-      release_workspace(std::move(ws));
     });
     for (std::int64_t b = 0; b < wn; ++b) {
       out.push_back(reduce_ordered(

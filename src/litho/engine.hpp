@@ -3,10 +3,10 @@
 //
 // AerialEngine fixes one (kernel set, out_px) configuration and owns
 // everything the per-kernel hot loop needs: the cached FFT plan for the
-// output grid, the precomputed embed/ifftshift scatter maps, and a pool of
-// per-thread workspaces.  Evaluating a kernel is then a fused
-// crop -> kernel-multiply -> embed/shift scatter -> pruned inverse FFT with
-// zero heap allocation per kernel; batches of mask spectra are swept in a
+// output grid and the crop's placement on it.  Evaluating a kernel is then
+// the shared pruned SOCS inverse of fft/pruned.hpp — a fused crop ->
+// kernel-multiply -> embed/shift scatter -> pruned inverse FFT — with zero
+// heap allocation per kernel; batches of mask spectra are swept in a
 // single parallel_for over (mask, kernel-chunk) tasks.
 //
 // The floating-point result is bit-identical to the historical per-mask
@@ -18,18 +18,18 @@
 // additively and |.|^2 erases the sign of zero (DESIGN.md §6.3).
 //
 // Thread-safety: aerial / aerial_batch may be called concurrently from
-// multiple threads (workspaces are leased from an internal pool), but not
-// from inside a parallel_for callback — the shared thread pool does not
-// nest.  The pool retains at most parallel_workers() + 4 idle workspaces
-// (~out_px^2 complex doubles each); a burst of extra concurrent callers
-// allocates transient workspaces that are freed on release instead of
-// pinning memory for the engine's lifetime.
+// multiple threads, but not from inside a parallel_for callback — the
+// shared thread pool does not nest.  The engine itself is immutable after
+// construction; the per-kernel scratch (an out_px^2 field plus FFT
+// buffers) is a function-local thread_local, grown to the largest out_px a
+// thread has evaluated and held for that thread's lifetime, shared by every
+// engine the thread runs.
 
 #include <memory>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "fft/fft.hpp"
+#include "fft/pruned.hpp"
 #include "math/cplx.hpp"
 #include "math/grid.hpp"
 
@@ -48,7 +48,6 @@ class AerialEngine {
   AerialEngine(std::shared_ptr<const std::vector<Grid<cd>>> kernels,
                int out_px);
 
-  ~AerialEngine();
   AerialEngine(const AerialEngine&) = delete;
   AerialEngine& operator=(const AerialEngine&) = delete;
 
@@ -71,13 +70,8 @@ class AerialEngine {
       const std::vector<const Grid<cd>*>& spectra) const;
 
  private:
-  struct Workspace;
-
-  std::unique_ptr<Workspace> acquire_workspace() const;
-  void release_workspace(std::unique_ptr<Workspace> ws) const;
   void accumulate_kernel(const Grid<cd>& kernel, const Grid<cd>& spectrum,
-                         int r0, int c0, Workspace& ws,
-                         Grid<double>& local) const;
+                         int r0, int c0, Grid<double>& local) const;
 
   std::shared_ptr<const std::vector<Grid<cd>>> kernels_;
   int kdim_ = 0;
@@ -86,15 +80,9 @@ class AerialEngine {
   /// bad out_px fails with the engine's own diagnostics and no plan is
   /// inserted into the process-wide cache.
   const FftPlan<double>* out_plan_ = nullptr;
-  /// embed+ifftshift target index per kernel row/column (DESIGN.md §6.2).
-  std::vector<int> scatter_;
-  /// Sorted field rows that receive kernel data; the only rows the inverse
-  /// transform's row pass must touch.
-  std::vector<int> band_rows_;
-
-  mutable Mutex ws_mu_;
-  mutable std::vector<std::unique_ptr<Workspace>> ws_pool_
-      NITHO_GUARDED_BY(ws_mu_);
+  /// embed+ifftshift field row per kernel row (columns alike) and the
+  /// sorted band rows the pruned inverse transforms (DESIGN.md §6.2).
+  CropBand crop_;
 };
 
 /// Ordered sum of per-chunk partial intensities.  Shared by the engine and

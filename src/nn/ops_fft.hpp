@@ -24,9 +24,10 @@ Var socs_field(const Var& kernels, const Tensor& spectrum, int out_px);
 /// Batched socs_field over a whole mask batch in one graph node: kernels
 /// [r, n, m, 2], spectra [B, n, m, 2] -> fields [B, r, S, S, 2].  Per
 /// (mask, kernel) plane the arithmetic is bit-identical to socs_field;
-/// the inverse FFT prunes structurally zero rows and the adjoint prunes
+/// the inverse FFT prunes structurally zero rows (the pruned SOCS inverse
+/// of fft/pruned.hpp, shared with the AerialEngine) and the adjoint prunes
 /// unread columns (DESIGN.md §8.2), FFT plans are hoisted out of the plane
-/// loop, and workspaces come from a bounded pool, so steady-state training
+/// loop, and FFT workspaces are thread-local, so steady-state training
 /// steps allocate nothing here.  The kernel-gradient accumulation runs the
 /// batch in descending order, matching the reverse-topological order of the
 /// legacy per-mask graph.  The backward pass transforms node.grad in place

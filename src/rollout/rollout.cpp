@@ -143,14 +143,16 @@ RoundResult RolloutController::run_round(serve::LithoServer* server) {
   span_end("train", t_train);
 
   // Rank phase: held-out loss, deterministic (ordered reduction inside
-  // evaluate_nitho; ties break toward the lowest replica id).
+  // evaluate_nitho; ties break toward the lowest replica id).  A non-finite
+  // loss (a diverged replica) loses to any finite one.
   const std::int64_t t_rank = span_begin();
   res.eval_losses.reserve(replicas_.size());
   res.winner = 0;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     const double loss = replicas_[i]->evaluate(holdout_, cfg_.eval_batch);
     res.eval_losses.push_back(loss);
-    if (loss < res.eval_losses[static_cast<std::size_t>(res.winner)]) {
+    const double best = res.eval_losses[static_cast<std::size_t>(res.winner)];
+    if (std::isfinite(loss) && (!std::isfinite(best) || loss < best)) {
       res.winner = static_cast<int>(i);
     }
   }

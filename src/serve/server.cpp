@@ -332,12 +332,23 @@ OpcJobHandle LithoServer::resume_opc(opc::OpcCheckpoint checkpoint,
 std::uint64_t LithoServer::swap_kernels(FastLitho fresh) {
   const auto kernels = fresh.kernels_shared();
   const double threshold = fresh.resist_threshold();
+  // Refused before a generation is drawn, so a rejected swap leaves the
+  // counter and every shard's snapshot and generation as they were.
+  for (const Grid<cd>& k : *kernels) {
+    for (const cd& z : k) {
+      check(std::isfinite(z.real()) && std::isfinite(z.imag()),
+            "swap_kernels: non-finite kernel value");
+    }
+  }
   // One generation per publish, serialized across concurrent swappers.
   const std::uint64_t gen =
       1 + generation_.fetch_add(1, std::memory_order_relaxed);
   for (auto& shard : shards_) {
     auto snap = std::make_shared<const FastLitho>(FastLitho(kernels, threshold));
     LockGuard lk(shard->snap_mu);
+    // Concurrent publishers can reach a shard out of draw order; a shard
+    // only moves forward, so every shard ends on the newest generation.
+    if (gen <= shard->generation) continue;
     shard->snapshot = std::move(snap);
     shard->generation = gen;
   }

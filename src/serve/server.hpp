@@ -229,7 +229,11 @@ class LithoServer {
   /// construction snapshot is generation 0).  Requests submitted before
   /// the swap are still served by the old kernels; requests submitted
   /// after see the new ones.  Because every request captures its snapshot
-  /// at submit, a served result belongs to exactly one generation.
+  /// at submit, a served result belongs to exactly one generation.  A
+  /// shard never moves back: when concurrent swaps race, a shard that
+  /// already holds a newer generation keeps it, so every shard ends on the
+  /// newest.  Throws check_error, changing nothing, if any kernel value is
+  /// non-finite.
   std::uint64_t swap_kernels(FastLitho fresh);
 
   /// Publishes a new SLO policy (or removes it with nullopt) without

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "fft/fft.hpp"
 #include "fft/spectral.hpp"
 #include "litho/engine.hpp"
@@ -138,6 +139,26 @@ TEST(AerialEngine, ConcurrentBatchesAreRaceFree) {
       }
     }
   }
+}
+
+TEST(AerialEngine, ThreadScratchRegrowsAndShrinksAcrossOutputSizes) {
+  // A thread's scratch (field + FFT buffers) is shared by every engine it
+  // runs and grown, never shrunk.  One fresh thread walks radix-2 <->
+  // Bluestein grids and smaller-after-larger sizes, so later engines run on
+  // a buffer that still holds a larger grid's leftovers.
+  Rng rng = make_rng(78);
+  const std::vector<Grid<cd>> kernels = random_kernels(11, 13, rng);
+  const Grid<cd> spectrum = random_spectrum(21, rng);
+  set_parallel_workers(1);  // every task runs on the calling thread
+  std::thread([&] {
+    for (const int out_px : {64, 16, 33, 32, 17}) {
+      const AerialEngine engine(kernels, out_px);
+      EXPECT_EQ(engine.aerial(spectrum),
+                legacy_socs_aerial(kernels, spectrum, out_px))
+          << "out_px=" << out_px;
+    }
+  }).join();
+  set_parallel_workers(0);
 }
 
 TEST(AerialEngine, FastLithoBatchMatchesSingleMaskCalls) {

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -151,6 +153,40 @@ TEST(Rollout, LosersAdoptTheWinnersWeightsEachRound) {
   ctl.run_round(nullptr);
   EXPECT_TRUE(ctl.done());
   EXPECT_THROW(ctl.run_round(nullptr), check_error);
+}
+
+TEST(Rollout, DivergedReplicaZeroLosesAndAdoptsTheWinner) {
+  RolloutConfig cfg = tiny_rollout_config();
+  RolloutController ctl(cfg, tiny_sets().train, tiny_sets().holdout);
+  // Replica 0 diverges: every parameter NaN, so its held-out loss is NaN —
+  // which compares false against anything, the case a plain `<` ranking
+  // would hand the win.
+  for (const nn::Var& p : ctl.replica(0).model().parameters()) {
+    std::fill(p->value.data(), p->value.data() + p->value.numel(),
+              std::numeric_limits<float>::quiet_NaN());
+  }
+  ServeOptions opt;
+  opt.shards = 1;
+  Rng rng = make_rng(91);
+  LithoServer server(FastLitho(random_kernels(2, 9, rng)), opt);
+  const RoundResult res = ctl.run_round(&server);
+  ASSERT_EQ(res.eval_losses.size(), 2u);
+  EXPECT_FALSE(std::isfinite(res.eval_losses[0]));
+  EXPECT_NE(res.winner, 0);
+  EXPECT_TRUE(std::isfinite(res.winner_loss));
+  EXPECT_EQ(res.generation, 1u);
+  for (const Grid<cd>& k : *server.snapshot()->kernels_shared()) {
+    for (const cd& z : k) {
+      EXPECT_TRUE(std::isfinite(z.real()) && std::isfinite(z.imag()));
+    }
+  }
+  // Replica 0 re-seeds from the winner's finite state, bit for bit.
+  const auto kw = ctl.replica(res.winner).model().export_kernels();
+  const auto k0 = ctl.replica(0).model().export_kernels();
+  ASSERT_EQ(k0.size(), kw.size());
+  for (std::size_t k = 0; k < kw.size(); ++k) EXPECT_EQ(k0[k], kw[k]);
+  EXPECT_TRUE(std::isfinite(ctl.replica(0).evaluate(tiny_sets().holdout, 2)));
+  server.stop();
 }
 
 TEST(Rollout, ReplicaStateRoundTripsIntoAFreshReplica) {

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <future>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -631,6 +633,88 @@ TEST(LithoServer, KernelHotSwapMidStreamKeepsSnapshotSemantics) {
     EXPECT_EQ(futs_b[static_cast<std::size_t>(i)].get(),
               ref_b.aerial_from_mask(masks_b[static_cast<std::size_t>(i)], 16));
   }
+}
+
+TEST(LithoServer, RacingSwapsLeaveEveryShardOnTheNewestGeneration) {
+  Rng rng = make_rng(111);
+  ServeOptions opts;
+  opts.shards = 4;
+  LithoServer server(FastLitho(random_kernels(2, 5, rng)), opts);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 200;
+  std::vector<std::vector<Grid<cd>>> kernel_sets;
+  for (int t = 0; t < kThreads; ++t) {
+    kernel_sets.push_back(random_kernels(2, 5, rng));
+  }
+  // Each round, kThreads publishers swap at once.  They draw generations
+  // in one order and reach the shards in another; a shard must never step
+  // back, so after every round each shard is on that round's newest
+  // generation and agrees with generation().
+  std::barrier sync(kThreads + 1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        sync.arrive_and_wait();
+        server.swap_kernels(FastLitho(std::vector<Grid<cd>>(
+            kernel_sets[static_cast<std::size_t>(t)])));
+        sync.arrive_and_wait();
+      }
+    });
+  }
+  int stale = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    sync.arrive_and_wait();
+    sync.arrive_and_wait();
+    const std::uint64_t newest =
+        static_cast<std::uint64_t>(round + 1) * kThreads;
+    if (server.generation() != newest) ++stale;
+    for (int sh = 0; sh < server.shards(); ++sh) {
+      if (server.shard_stats(sh).kernel_generation != server.generation()) {
+        ++stale;
+      }
+      // One publish reached every shard last: they all serve its kernels.
+      if (server.snapshot(sh)->kernels_shared().get() !=
+          server.snapshot(0)->kernels_shared().get()) {
+        ++stale;
+      }
+    }
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(stale, 0) << "stale shard states over " << kRounds << " rounds";
+  server.stop();
+}
+
+TEST(LithoServer, NonFiniteKernelSwapThrowsAndKeepsTheOldSnapshot) {
+  Rng rng = make_rng(112);
+  const std::vector<Grid<cd>> kernels_a = random_kernels(6, 9, rng);
+  const FastLitho ref_a{std::vector<Grid<cd>>(kernels_a)};
+  ServeOptions opts;
+  opts.shards = 2;
+  LithoServer server(FastLitho{std::vector<Grid<cd>>(kernels_a)}, opts);
+  const auto snap0 = server.snapshot(0);
+  const auto snap1 = server.snapshot(1);
+
+  std::vector<Grid<cd>> bad = random_kernels(6, 9, rng);
+  bad[3](4, 4) = cd(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  EXPECT_THROW(server.swap_kernels(FastLitho(std::move(bad))), check_error);
+  // Nothing moved: not the counter, not a shard's snapshot or generation.
+  EXPECT_EQ(server.generation(), 0u);
+  for (int sh = 0; sh < server.shards(); ++sh) {
+    EXPECT_EQ(server.shard_stats(sh).kernel_generation, 0u) << "shard " << sh;
+  }
+  EXPECT_EQ(server.snapshot(0), snap0);
+  EXPECT_EQ(server.snapshot(1), snap1);
+  // Served results still come from the old kernels, bit for bit.
+  for (const int out_px : {16, 24}) {
+    const Grid<double> mask = random_mask(32, 32, rng);
+    EXPECT_EQ(server.submit(mask, out_px).get(),
+              ref_a.aerial_from_mask(mask, out_px))
+        << "out_px=" << out_px;
+  }
+  // The next good swap takes generation 1: the refused one drew none.
+  EXPECT_EQ(server.swap_kernels(FastLitho(random_kernels(6, 9, rng))), 1u);
+  server.stop();
 }
 
 TEST(LithoServer, StopDrainsEveryAcceptedRequestAndRefusesNewOnes) {
