@@ -194,6 +194,11 @@ std::size_t MetricsRegistry::size() const {
   return entries_.size();
 }
 
+bool MetricsRegistry::contains(const std::string& name) const {
+  LockGuard lk(mu_);
+  return entries_.count(name) != 0;
+}
+
 const MetricValue* MetricsSnapshot::find(const std::string& name) const {
   for (const MetricValue& m : metrics) {
     if (m.name == name) return &m;

@@ -4,16 +4,21 @@
 // (DESIGN.md §12).
 //
 // Design constraints, in order:
-//   * Hot paths pay one relaxed atomic RMW per event.  Counter::inc,
+//   * Hot paths pay one atomic RMW or store per event.  Counter::inc,
 //     Gauge::set/add and LogHistogram::record never take a lock; callers
 //     hold references obtained once at setup time, so the registry's name
 //     table is never touched per event.
-//   * Reads never block writers.  snapshot() copies atomics with relaxed
-//     loads; the registration mutex it takes is only ever contended by
-//     other registrations and snapshots, not by metric updates.  A
-//     snapshot is therefore *per-metric* atomic but not a consistent cut
-//     across metrics (a counter read early may lag one read late) — the
-//     same contract ShardStats has always had.
+//   * Counters are release/acquire (Counter): a reader that loads counter
+//     A and then counter B sees in B every increment sequenced before the
+//     A increments it saw.  That is enough for a subsystem to keep its
+//     authoritative counts here and still give readers ordering
+//     invariants (the serve shards do — DESIGN.md §12.1).  Gauges and
+//     histograms stay relaxed.
+//   * Reads never block writers.  The registration mutex snapshot() takes
+//     is only ever contended by other registrations and snapshots, not by
+//     metric updates.  A snapshot is therefore *per-metric* atomic but not
+//     a consistent cut across metrics (a counter read early may lag one
+//     read late).
 //   * Histograms are fixed-size arrays of buckets whose width grows
 //     geometrically, so quantile estimates carry a bounded *relative*
 //     error (≤ 1/(2·kSub), see LogHistogram) instead of the unbounded
@@ -46,13 +51,14 @@ namespace nitho::obs {
 /// percentiles agree on rank.
 std::size_t nearest_rank_index(std::size_t n, int percent);
 
-/// Monotone event count.  Writers call inc(); readers call value().  All
-/// accesses are relaxed: the count is eventually consistent with the events
-/// it mirrors, never torn.
+/// Monotone event count.  Writers call inc() (a release RMW); readers call
+/// value() (an acquire load).  On x86 these are the same `lock xadd` and
+/// plain `mov` a relaxed counter compiles to; the ordering is what lets a
+/// reader derive invariants from the read order across counters.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_release); }
+  std::uint64_t value() const { return v_.load(std::memory_order_acquire); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -164,6 +170,7 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const;
   std::size_t size() const;
+  bool contains(const std::string& name) const;
 
  private:
   struct Entry {

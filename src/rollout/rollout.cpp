@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -144,51 +145,60 @@ RoundResult RolloutController::run_round(serve::LithoServer* server) {
 
   // Rank phase: held-out loss, deterministic (ordered reduction inside
   // evaluate_nitho; ties break toward the lowest replica id).  A non-finite
-  // loss (a diverged replica) loses to any finite one.
+  // loss (a diverged replica) never wins, so when every replica diverged
+  // the round has no winner (res.winner stays -1).
   const std::int64_t t_rank = span_begin();
   res.eval_losses.reserve(replicas_.size());
-  res.winner = 0;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     const double loss = replicas_[i]->evaluate(holdout_, cfg_.eval_batch);
     res.eval_losses.push_back(loss);
-    const double best = res.eval_losses[static_cast<std::size_t>(res.winner)];
-    if (std::isfinite(loss) && (!std::isfinite(best) || loss < best)) {
+    if (std::isfinite(loss) &&
+        (res.winner < 0 ||
+         loss < res.eval_losses[static_cast<std::size_t>(res.winner)])) {
       res.winner = static_cast<int>(i);
     }
   }
-  TrainerReplica& winner = *replicas_[static_cast<std::size_t>(res.winner)];
-  res.winner_loss = res.eval_losses[static_cast<std::size_t>(res.winner)];
-  res.winner_lr = winner.trainer().config().lr;
   span_end("rank", t_rank);
 
-  // Publish phase: the winner's kernels become the server's next snapshot
-  // generation.  In-flight requests finish on the snapshot they captured
-  // at submit, so the swap never mixes generations within a batch.
-  if (server != nullptr) {
-    const std::int64_t t_swap = span_begin();
-    res.generation = server->swap_kernels(
-        FastLitho::from_model(winner.model(), cfg_.resist_threshold));
-    ++stats_.swaps;
-    if (c_swaps_ != nullptr) c_swaps_->inc();
-    span_end("swap", t_swap);
-  }
+  if (res.winner < 0) {
+    // Nothing is fit to publish or adopt: the server keeps serving the
+    // incumbent generation and the round still counts.
+    res.winner_loss = std::numeric_limits<double>::quiet_NaN();
+    if (server != nullptr) res.generation = server->generation();
+  } else {
+    TrainerReplica& winner = *replicas_[static_cast<std::size_t>(res.winner)];
+    res.winner_loss = res.eval_losses[static_cast<std::size_t>(res.winner)];
+    res.winner_lr = winner.trainer().config().lr;
 
-  // Exploit + explore phase (LTFB): losers adopt the winner's entire
-  // trainer state, then re-draw their learning rate from the configured
-  // band (log-uniform around train.lr, so exploration never drifts
-  // unboundedly).  Serialize once; each adoption reads a private stream.
-  if (replicas_.size() > 1) {
-    const std::int64_t t_adopt = span_begin();
-    std::ostringstream state;
-    winner.save_state(state);
-    const std::string blob = state.str();
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      if (static_cast<int>(i) == res.winner) continue;
-      std::istringstream is(blob);
-      replicas_[i]->load_state(is);
-      replicas_[i]->trainer().set_base_lr(perturbed_lr());
+    // Publish phase: the winner's kernels become the server's next snapshot
+    // generation.  In-flight requests finish on the snapshot they captured
+    // at submit, so the swap never mixes generations within a batch.
+    if (server != nullptr) {
+      const std::int64_t t_swap = span_begin();
+      res.generation = server->swap_kernels(
+          FastLitho::from_model(winner.model(), cfg_.resist_threshold));
+      ++stats_.swaps;
+      if (c_swaps_ != nullptr) c_swaps_->inc();
+      span_end("swap", t_swap);
     }
-    span_end("adopt", t_adopt);
+
+    // Exploit + explore phase (LTFB): losers adopt the winner's entire
+    // trainer state, then re-draw their learning rate from the configured
+    // band (log-uniform around train.lr, so exploration never drifts
+    // unboundedly).  Serialize once; each adoption reads a private stream.
+    if (replicas_.size() > 1) {
+      const std::int64_t t_adopt = span_begin();
+      std::ostringstream state;
+      winner.save_state(state);
+      const std::string blob = state.str();
+      for (std::size_t i = 0; i < replicas_.size(); ++i) {
+        if (static_cast<int>(i) == res.winner) continue;
+        std::istringstream is(blob);
+        replicas_[i]->load_state(is);
+        replicas_[i]->trainer().set_base_lr(perturbed_lr());
+      }
+      span_end("adopt", t_adopt);
+    }
   }
 
   ++round_;

@@ -100,11 +100,15 @@ class TrainerReplica {
 struct RoundResult {
   int round = 0;                   ///< 1-based round index
   std::vector<double> eval_losses; ///< per replica, holdout MSE
-  int winner = -1;                 ///< replica id with the lowest loss
+  /// Replica id with the lowest finite loss; -1 when every loss is
+  /// non-finite (every replica diverged): the round then publishes and
+  /// adopts nothing, winner_loss is NaN and winner_lr 0.
+  int winner = -1;
   double winner_loss = 0.0;
   float winner_lr = 0.0f;          ///< the winner's base lr this round
-  /// Kernel-snapshot generation the winner was published as (0 when the
-  /// round ran without a server).
+  /// Kernel-snapshot generation the winner was published as — the
+  /// incumbent's when there is no winner (0 when the round ran without a
+  /// server).
   std::uint64_t generation = 0;
   double seconds = 0.0;            ///< wall time of the round
 };
@@ -126,8 +130,10 @@ class RolloutController {
   /// One round: every replica trains epochs_per_round epochs on its own
   /// thread (the barrier is the round's join), replicas are ranked on the
   /// holdout, the winner is swapped into `server` (when non-null) and the
-  /// losers adopt + re-perturb.  Throws if the tournament is complete;
-  /// a replica's training error propagates out after all threads join.
+  /// losers adopt + re-perturb.  A round in which every replica diverged
+  /// keeps the incumbent (RoundResult::winner == -1) and still counts.
+  /// Throws if the tournament is complete; a replica's training error
+  /// propagates out after all threads join.
   RoundResult run_round(serve::LithoServer* server);
 
   /// All remaining rounds; returns the accumulated stats.

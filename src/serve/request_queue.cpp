@@ -6,13 +6,15 @@
 
 namespace nitho::serve {
 
-RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {
+RequestQueue::RequestQueue(std::size_t capacity, obs::Counter& pushed)
+    : capacity_(capacity), pushed_(pushed) {
   check(capacity >= 1, "RequestQueue capacity must be >= 1");
 }
 
 bool RequestQueue::push_locked(ServeRequest& req) {
   if (closed_) return false;
   items_.push_back(std::move(req));
+  pushed_.inc();
   return true;
 }
 

@@ -27,6 +27,7 @@
 #include "common/mutex.hpp"
 #include "math/grid.hpp"
 #include "nitho/fast_litho.hpp"
+#include "obs/metrics.hpp"
 
 namespace nitho::serve {
 
@@ -80,7 +81,12 @@ class RequestQueue {
   /// retry loop against a stopped server would spin forever).
   enum class PushResult { kOk, kFull, kClosed };
 
-  explicit RequestQueue(std::size_t capacity);
+  /// `pushed` counts every accepted request: it is bumped under the queue
+  /// mutex inside the push itself, so a request is counted exactly once
+  /// and before any consumer can pop it, and a refused push counts nothing
+  /// (LithoServer passes its shard's `submitted` counter).  Borrowed; must
+  /// outlive the queue.
+  RequestQueue(std::size_t capacity, obs::Counter& pushed);
 
   /// Blocks while the queue is full (backpressure).  Returns false — with
   /// req left intact — iff the queue was closed before the push succeeded.
@@ -105,12 +111,13 @@ class RequestQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  /// Files the request unless the queue is closed; the caller still holds
-  /// mu_ afterwards and is responsible for the not_empty_ notify once the
-  /// lock is dropped.
+  /// Files (and counts) the request unless the queue is closed; the caller
+  /// still holds mu_ afterwards and is responsible for the not_empty_
+  /// notify once the lock is dropped.
   bool push_locked(ServeRequest& req) NITHO_REQUIRES(mu_);
 
   const std::size_t capacity_;
+  obs::Counter& pushed_;
   mutable Mutex mu_;
   CondVar not_full_;
   CondVar not_empty_;

@@ -29,9 +29,68 @@ std::string latency_str(double us, std::uint64_t samples) {
   return buf;
 }
 
+namespace {
+
+/// One shard's statistics as a reader sees them (Shard::read): the counts
+/// in ShardStats fields, plus what the goodput and percentile derivations
+/// need.  stats() folds these over every shard.
+struct ShardRead {
+  ShardStats st;
+  double uptime_s = 0.0;
+  /// exact_latencies is the complete latency sample: every shard read is
+  /// still inside its exact window.
+  bool exact = true;
+  std::vector<double> exact_latencies;
+  obs::HistogramSnapshot hist;
+};
+
+}  // namespace
+
 /// One pinned worker: queue in front, batcher inside, private FastLitho.
 struct LithoServer::Shard {
-  explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
+  Shard(std::size_t queue_capacity, obs::MetricsRegistry& m,
+        const std::string& prefix)
+      : submitted(m.counter(prefix + "submitted")),
+        completed(m.counter(prefix + "completed")),
+        completed_ok(m.counter(prefix + "completed_ok")),
+        batches(m.counter(prefix + "batches")),
+        shed_at_submit(m.counter(prefix + "shed_at_submit")),
+        shed_in_queue(m.counter(prefix + "shed_in_queue")),
+        tune_updates(m.counter(prefix + "autotune_updates")),
+        est_service_us(m.gauge(prefix + "est_service_us")),
+        latency(m.histogram(prefix + "latency_us")),
+        queue(queue_capacity, submitted) {}
+
+  /// The shard's accounting: registry metrics, bound once here and the
+  /// only store of every count ShardStats reports (DESIGN.md §12.1).
+  /// submitted is bumped by the queue inside an accepted push; the rest
+  /// by the worker (shed_at_submit by client threads).
+  ///
+  /// Read order.  Counters are release RMWs / acquire loads, and the
+  /// worker bumps them before its stats_mu section and before it resolves
+  /// any future: completed first, then completed_ok / batches /
+  /// shed_in_queue.  read() therefore takes stats_mu (lat_count), then the
+  /// histogram, then batches / shed_* / completed_ok, then completed, then
+  /// submitted, which keeps latency_samples <= completed, completed_ok <= completed,
+  /// shed_in_queue <= completed <= submitted and histogram count >=
+  /// latency_samples for readers, and makes a resolved future already
+  /// counted.  The queue's push happens-before the worker's pop, so every
+  /// completion's submit is counted before the completion is.
+  obs::Counter& submitted;
+  obs::Counter& completed;
+  obs::Counter& completed_ok;  ///< resolved with a value (goodput)
+  obs::Counter& batches;
+  obs::Counter& shed_at_submit;
+  obs::Counter& shed_in_queue;
+  obs::Counter& tune_updates;  ///< autotuner decisions that moved the policy
+  /// EWMA of per-request service time (µs), written by the worker after
+  /// each batch, read by the submit path's wait estimate.  0 until the
+  /// first batch completes (the estimate then admits everything and the
+  /// dequeue-time check backstops it).
+  obs::Gauge& est_service_us;
+  /// Every latency sample; the percentile source once lat_count exceeds
+  /// kExactWindow (DESIGN.md §12.2).
+  obs::LogHistogram& latency;
 
   RequestQueue queue;
   std::thread worker;
@@ -49,59 +108,20 @@ struct LithoServer::Shard {
   mutable Mutex slo_mu;
   std::shared_ptr<const SloPolicy> slo NITHO_GUARDED_BY(slo_mu);
 
-  /// Counters + latency accounting.  submitted is atomic — it sits on
-  /// the client-facing submit path, which must not contend on stats_mu
-  /// with the worker's per-batch accounting.
-  ///
-  /// Latencies live in two places (DESIGN.md §12.2): the first
-  /// kExactWindow samples verbatim in exact_latencies (exact nearest-rank
-  /// percentiles while the sample is tiny — the regime where one bucket's
-  /// resolution would be visible), and every sample in the lifetime
-  /// obs::LogHistogram behind `latency` (bounded-error percentiles at any
-  /// scale, read without copying or sorting anything).  lat_count is the
-  /// authoritative sample count; both it and exact_latencies are guarded
-  /// by stats_mu, the histogram is lock-free.
+  /// The exact latency window: the first kExactWindow samples verbatim
+  /// (exact nearest-rank percentiles while the sample is tiny — the regime
+  /// where one bucket's resolution would be visible), and lat_count, the
+  /// number of requests batches have served.
   static constexpr std::size_t kExactWindow = 64;
-  std::atomic<std::uint64_t> submitted{0};
   mutable Mutex stats_mu;
-  std::uint64_t completed NITHO_GUARDED_BY(stats_mu) = 0;
-  /// Resolved with a value (goodput).
-  std::uint64_t completed_ok NITHO_GUARDED_BY(stats_mu) = 0;
-  std::uint64_t batches NITHO_GUARDED_BY(stats_mu) = 0;
   std::uint64_t lat_count NITHO_GUARDED_BY(stats_mu) = 0;
   std::vector<double> exact_latencies NITHO_GUARDED_BY(stats_mu);
 
-  /// Admission-control accounting.  shed_at_submit sits on client threads,
-  /// shed_in_queue on the worker; both are read by stats readers.
-  std::atomic<std::uint64_t> shed_at_submit{0};
-  std::atomic<std::uint64_t> shed_in_queue{0};
-  /// EWMA of per-request service time (µs), written by the worker after
-  /// each batch, read by the submit path's wait estimate.  0 until the
-  /// first batch completes (the estimate then admits everything and the
-  /// dequeue-time check backstops it).
-  std::atomic<double> est_service_us{0.0};
-  /// The worker's current flush policy + tuning decisions, published for
-  /// stats readers.
+  /// The worker's current flush policy, published for stats readers.
   std::atomic<int> cur_max_batch{0};
   std::atomic<std::int64_t> cur_max_delay_us{0};
-  std::atomic<std::uint64_t> tune_updates{0};
   Clock::time_point started_at{};
-
-  /// Registry mirrors, bound once by the server constructor (the registry
-  /// name table is never touched per event).  The shard's own accounting
-  /// above stays authoritative for ShardStats and its ordering invariants;
-  /// these are relaxed, eventually-consistent copies for export.  The
-  /// histogram is the exception: it is the percentile source once
-  /// lat_count exceeds kExactWindow.
   std::uint32_t track = 0;  ///< tracer ring index == shard index
-  obs::Counter* m_submitted = nullptr;
-  obs::Counter* m_completed = nullptr;
-  obs::Counter* m_completed_ok = nullptr;
-  obs::Counter* m_batches = nullptr;
-  obs::Counter* m_shed_at_submit = nullptr;
-  obs::Counter* m_shed_in_queue = nullptr;
-  obs::Gauge* m_est_service_us = nullptr;
-  obs::LogHistogram* latency = nullptr;
 
   std::shared_ptr<const FastLitho> current_snapshot() const {
     LockGuard lk(snap_mu);
@@ -114,6 +134,34 @@ struct LithoServer::Shard {
   std::shared_ptr<const SloPolicy> current_slo() const {
     LockGuard lk(slo_mu);
     return slo;
+  }
+
+  /// One read of the shard's statistics, in the order documented above.
+  ShardRead read() const {
+    ShardRead r;
+    {
+      LockGuard lk(stats_mu);
+      r.st.latency_samples = lat_count;
+      r.exact = lat_count <= kExactWindow;
+      r.exact_latencies = exact_latencies;
+    }
+    r.hist = latency.snapshot();
+    r.st.batches = batches.value();
+    r.st.shed.shed_at_submit = shed_at_submit.value();
+    r.st.shed.shed_in_queue = shed_in_queue.value();
+    r.st.completed_ok = completed_ok.value();
+    r.st.completed = completed.value();
+    r.st.submitted = submitted.value();
+    r.st.queue_depth = queue.depth();
+    r.st.est_service_us = est_service_us.value();
+    r.st.max_batch = cur_max_batch.load(std::memory_order_relaxed);
+    r.st.max_delay_us = static_cast<double>(
+        cur_max_delay_us.load(std::memory_order_relaxed));
+    r.st.autotune_updates = tune_updates.value();
+    r.st.kernel_generation = current_generation();
+    r.uptime_s =
+        std::chrono::duration<double>(Clock::now() - started_at).count();
+    return r;
   }
 };
 
@@ -135,17 +183,15 @@ LithoServer::LithoServer(FastLitho litho, ServeOptions options)
       options_.slo ? std::make_shared<const SloPolicy>(*options_.slo)
                    : nullptr;
   for (int s = 0; s < options_.shards; ++s) {
-    auto shard = std::make_unique<Shard>(options_.queue_capacity);
     const std::string prefix = "serve.shard" + std::to_string(s) + ".";
+    // The shard metrics are the only store of its counts: a second server
+    // on this registry would merge its counts into this one's stats.
+    check(!metrics_->contains(prefix + "submitted"),
+          "LithoServer: registry already holds " + prefix +
+              "* (one server per registry)");
+    auto shard =
+        std::make_unique<Shard>(options_.queue_capacity, *metrics_, prefix);
     shard->track = static_cast<std::uint32_t>(s);
-    shard->m_submitted = &metrics_->counter(prefix + "submitted");
-    shard->m_completed = &metrics_->counter(prefix + "completed");
-    shard->m_completed_ok = &metrics_->counter(prefix + "completed_ok");
-    shard->m_batches = &metrics_->counter(prefix + "batches");
-    shard->m_shed_at_submit = &metrics_->counter(prefix + "shed_at_submit");
-    shard->m_shed_in_queue = &metrics_->counter(prefix + "shed_in_queue");
-    shard->m_est_service_us = &metrics_->gauge(prefix + "est_service_us");
-    shard->latency = &metrics_->histogram(prefix + "latency_us");
     // Shard 0 adopts the caller's instance (keeping any engines it has
     // already warmed); the rest share its kernels with fresh caches.  No
     // worker exists yet, but the guarded writes still take their (trivially
@@ -210,9 +256,12 @@ ServeRequest LithoServer::make_request(
     Shard& shard, Grid<double>& mask, int out_px, RequestKind kind,
     std::chrono::steady_clock::time_point deadline) const {
   // Validate before touching the caller's mask, so a rejected submission
-  // (empty mask, out_px under the current snapshot's kernel support —
-  // reachable when a hot-swap races a submit) leaves it intact.
+  // (empty or non-finite mask, out_px under the current snapshot's kernel
+  // support — reachable when a hot-swap races a submit) leaves it intact.
   check(!mask.empty(), "submit: empty mask");
+  for (const double v : mask) {
+    check(std::isfinite(v), "submit: non-finite mask value");
+  }
   auto snapshot = shard.current_snapshot();  // never null, even after stop()
   check(out_px >= snapshot->kernel_dim(),
         "submit: out_px smaller than the kernel support");
@@ -239,7 +288,7 @@ bool LithoServer::shed_at_submit(Shard& shard, ServeRequest& req) {
   // recent per-request pace.  Deliberately rough — it only has to reject
   // requests that are clearly doomed; the dequeue-time check in
   // MicroBatcher::add catches the rest.
-  const double est_us = shard.est_service_us.load(std::memory_order_relaxed) *
+  const double est_us = shard.est_service_us.value() *
                         static_cast<double>(shard.queue.depth());
   const auto eta =
       req.enqueued_at + std::chrono::microseconds(std::llround(est_us));
@@ -251,8 +300,7 @@ bool LithoServer::shed_at_submit(Shard& shard, ServeRequest& req) {
           "litho request shed at submit: estimated queue wait exceeds "
           "deadline"));
   req.result.set_exception(kShedAtSubmit);
-  shard.shed_at_submit.fetch_add(1, std::memory_order_relaxed);
-  shard.m_shed_at_submit->inc();
+  shard.shed_at_submit.inc();
   return true;
 }
 
@@ -271,16 +319,10 @@ std::future<Grid<double>> LithoServer::submit(
     req.traced = true;
     req.trace_id = trace_seq_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Count before push so a stats reader can never observe a completed
-  // request that is not yet in submitted; roll back if the queue refuses.
-  shard.submitted.fetch_add(1, std::memory_order_relaxed);
+  // The queue counts the request in `submitted` inside the push.
   if (!shard.queue.push(req)) {
-    shard.submitted.fetch_sub(1, std::memory_order_relaxed);
     check_fail("submit on a stopped server", std::source_location::current());
   }
-  // Registry mirror after the push succeeds, so it never needs rolling
-  // back (eventually consistent with `submitted`, never ahead of it).
-  shard.m_submitted->inc();
   return fut;
 }
 
@@ -295,19 +337,15 @@ std::optional<std::future<Grid<double>>> LithoServer::try_submit(
     req.traced = true;
     req.trace_id = trace_seq_.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.submitted.fetch_add(1, std::memory_order_relaxed);
   switch (shard.queue.try_push(req)) {
     case RequestQueue::PushResult::kOk:
-      shard.m_submitted->inc();
       return fut;
     case RequestQueue::PushResult::kFull:
-      shard.submitted.fetch_sub(1, std::memory_order_relaxed);
       mask = std::move(req.mask);  // hand the mask back on rejection
       return std::nullopt;
     case RequestQueue::PushResult::kClosed:
       break;
   }
-  shard.submitted.fetch_sub(1, std::memory_order_relaxed);
   mask = std::move(req.mask);
   // A full queue is the caller's load-shedding signal; a stopped server
   // is not retryable and must not masquerade as backpressure.
@@ -423,26 +461,18 @@ void LithoServer::shard_loop(Shard& shard) {
     if (!tuner || !tuner->ready(window)) return;
     if (tuner->update(window)) {
       batcher.set_policy(tuner->policy());
-      shard.tune_updates.fetch_add(1, std::memory_order_relaxed);
+      shard.tune_updates.inc();
       publish_policy();
     }
   };
   // Queue sheds count as completed (a resolved future must be visible in
-  // the stats), but never as goodput.  Account-then-resolve, like served
-  // batches: completed (mutex) before shed_in_queue (atomic) before the
-  // futures fail, so a client that has seen DeadlineExceeded also sees it
-  // counted, and readers never see shed_in_queue > completed (their
-  // occupancy subtraction must not underflow).
+  // the stats), but never as goodput.  Count-then-resolve, completed before
+  // shed_in_queue (Shard's read order).
   const auto account_queue_sheds = [&] {
     std::vector<ServeRequest> shed = batcher.take_shed();
     if (shed.empty()) return;
-    {
-      LockGuard lk(shard.stats_mu);
-      shard.completed += shed.size();
-    }
-    shard.shed_in_queue.fetch_add(shed.size(), std::memory_order_release);
-    shard.m_completed->inc(shed.size());
-    shard.m_shed_in_queue->inc(shed.size());
+    shard.completed.inc(shed.size());
+    shard.shed_in_queue.inc(shed.size());
     // Built once: under overload this fires per expired request, and an
     // exception_ptr construction costs a throw/catch on this toolchain.
     static const std::exception_ptr kShedInQueue =
@@ -503,9 +533,9 @@ void LithoServer::execute_batch(Shard& shard, Batch batch,
     // fails every request in the batch instead of wedging their futures.
     err = std::current_exception();
   }
-  // Account first, then resolve: a client that has seen its future resolve
+  // Count first, then resolve: a client that has seen its future resolve
   // must also see it counted in completed.  Latencies are computed outside
-  // the lock; only the ring-buffer append holds stats_mu.
+  // the lock; only the exact-window append holds stats_mu.
   const auto now = Clock::now();
   std::vector<double> batch_latencies_us;
   batch_latencies_us.reserve(batch.requests.size());
@@ -520,32 +550,24 @@ void LithoServer::execute_batch(Shard& shard, Batch batch,
     const double per_req_us =
         std::chrono::duration<double, std::micro>(now - t0).count() /
         static_cast<double>(batch.requests.size());
-    const double prev =
-        shard.est_service_us.load(std::memory_order_relaxed);
-    const double ewma =
-        prev == 0.0 ? per_req_us : 0.8 * prev + 0.2 * per_req_us;
-    shard.est_service_us.store(ewma, std::memory_order_relaxed);
-    shard.m_est_service_us->set(ewma);
+    const double prev = shard.est_service_us.value();
+    shard.est_service_us.set(prev == 0.0 ? per_req_us
+                                         : 0.8 * prev + 0.2 * per_req_us);
   }
   if (window != nullptr) window->record_batch(batch_latencies_us);
-  // The histogram is recorded outside stats_mu (it is lock-free) and
-  // *before* lat_count moves, so a reader that sees lat_count past the
-  // exact window always finds at least that many samples in the histogram.
-  for (const double us : batch_latencies_us) shard.latency->record(us);
+  // Histogram and counters move before lat_count (Shard's read order).
+  for (const double us : batch_latencies_us) shard.latency.record(us);
+  shard.completed.inc(batch.requests.size());
+  if (!err) shard.completed_ok.inc(batch.requests.size());
+  shard.batches.inc();
   {
     LockGuard lk(shard.stats_mu);
-    shard.completed += batch.requests.size();
-    if (!err) shard.completed_ok += batch.requests.size();
-    ++shard.batches;
     shard.lat_count += batch_latencies_us.size();
     for (const double us : batch_latencies_us) {
       if (shard.exact_latencies.size() >= Shard::kExactWindow) break;
       shard.exact_latencies.push_back(us);
     }
   }
-  shard.m_completed->inc(batch.requests.size());
-  if (!err) shard.m_completed_ok->inc(batch.requests.size());
-  shard.m_batches->inc();
   // Span bookkeeping costs one branch per batch while tracing is off; the
   // sampled-request scan and timestamps only run when it is on.
   const bool tracing = tracer_->enabled();
@@ -594,167 +616,77 @@ void LithoServer::execute_batch(Shard& shard, Batch batch,
 
 namespace {
 
-/// Exact nearest-rank percentiles for the small-window regime.  `latencies`
-/// holds every sample the shard(s) have ever completed (the exact window
-/// has not been exceeded), so sorting it is cheap by construction.
-void fill_percentiles_exact(std::vector<double> latencies, ShardStats& st) {
-  if (latencies.empty()) return;  // keep the NaN sentinels: no data != 0 µs
-  std::sort(latencies.begin(), latencies.end());
-  const std::size_t n = latencies.size();
-  st.p50_latency_us = latencies[percentile_index(n, 50)];
-  st.p99_latency_us = latencies[percentile_index(n, 99)];
-}
-
-/// Histogram-derived percentiles for everything past the exact window —
-/// O(buckets), no lock against the worker, bounded relative error
-/// (obs::LogHistogram).
-void fill_percentiles_hist(const obs::HistogramSnapshot& snap,
-                           ShardStats& st) {
-  if (snap.count == 0) return;
-  st.p50_latency_us = snap.quantile(50);
-  st.p99_latency_us = snap.quantile(99);
-}
-
-double uptime_seconds(Clock::time_point started_at) {
-  return std::chrono::duration<double>(Clock::now() - started_at).count();
+/// Derives occupancy, goodput and the percentiles from a (possibly folded)
+/// read.  Percentiles are exact nearest-rank while the exact window holds
+/// the complete sample (where the tiny-window pins live: n == 1 must
+/// report that sample, n == 2 the max as p99), the histogram's beyond it —
+/// O(buckets) with bounded relative error (obs::LogHistogram).
+ShardStats finish(ShardRead r) {
+  ShardStats& st = r.st;
+  // Occupancy counts batch-served requests only: queue sheds resolve
+  // without ever occupying a batch slot.
+  st.mean_batch_occupancy =
+      st.batches == 0 ? 0.0
+                      : static_cast<double>(st.latency_samples) /
+                            static_cast<double>(st.batches);
+  st.shed.goodput_rps =
+      r.uptime_s > 0.0 ? static_cast<double>(st.completed_ok) / r.uptime_s
+                       : 0.0;
+  std::vector<double>& lat = r.exact_latencies;
+  if (r.exact) {
+    if (lat.empty()) return st;  // keep the NaN sentinels: no data != 0 µs
+    std::sort(lat.begin(), lat.end());
+    st.p50_latency_us = lat[percentile_index(lat.size(), 50)];
+    st.p99_latency_us = lat[percentile_index(lat.size(), 99)];
+  } else if (r.hist.count != 0) {
+    st.p50_latency_us = r.hist.quantile(50);
+    st.p99_latency_us = r.hist.quantile(99);
+  }
+  return st;
 }
 
 }  // namespace
 
 ShardStats LithoServer::shard_stats(int shard) const {
   check(shard >= 0 && shard < shards(), "shard_stats: shard out of range");
-  const Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  ShardStats st;
-  std::vector<double> exact;
-  std::uint64_t lat_count = 0;
-  std::uint64_t completed_ok = 0;
-  // Read shed_in_queue before completed: the worker bumps completed first,
-  // so this order keeps shed_in_queue <= completed for readers (the
-  // occupancy subtraction below must not underflow).
-  st.shed.shed_in_queue = sh.shed_in_queue.load(std::memory_order_acquire);
-  st.shed.shed_at_submit = sh.shed_at_submit.load(std::memory_order_acquire);
-  {
-    LockGuard lk(sh.stats_mu);
-    st.completed = sh.completed;
-    completed_ok = sh.completed_ok;
-    st.batches = sh.batches;
-    lat_count = sh.lat_count;
-    if (lat_count <= Shard::kExactWindow) exact = sh.exact_latencies;
-  }
-  // Read submitted after completed: every completion happens-after its own
-  // submission count, so this order keeps completed <= submitted for
-  // readers.
-  st.submitted = sh.submitted.load(std::memory_order_acquire);
-  st.queue_depth = sh.queue.depth();
-  st.shed.accepted = st.submitted;
-  // Occupancy counts only batch-served requests: queue sheds resolve
-  // without a batch.
-  const std::uint64_t batch_served = st.completed - st.shed.shed_in_queue;
-  st.mean_batch_occupancy =
-      st.batches == 0 ? 0.0
-                      : static_cast<double>(batch_served) /
-                            static_cast<double>(st.batches);
-  const double up = uptime_seconds(sh.started_at);
-  st.shed.goodput_rps = up > 0.0 ? static_cast<double>(completed_ok) / up : 0.0;
-  st.max_batch = sh.cur_max_batch.load(std::memory_order_relaxed);
-  st.max_delay_us = static_cast<double>(
-      sh.cur_max_delay_us.load(std::memory_order_relaxed));
-  st.autotune_updates = sh.tune_updates.load(std::memory_order_relaxed);
-  st.est_service_us = sh.est_service_us.load(std::memory_order_relaxed);
-  st.kernel_generation = sh.current_generation();
-  st.latency_samples = lat_count;
-  // Exact nearest-rank while the shard's whole history fits the exact
-  // window (this is where the tiny-window pins live: n == 1 must report
-  // that sample, n == 2 must report the max as p99); histogram beyond it.
-  // The worker records the histogram before bumping lat_count under the
-  // same mutex we just held, so the snapshot cannot be behind lat_count.
-  if (lat_count <= Shard::kExactWindow) {
-    fill_percentiles_exact(std::move(exact), st);
-  } else {
-    fill_percentiles_hist(sh.latency->snapshot(), st);
-  }
-  return st;
+  return finish(shards_[static_cast<std::size_t>(shard)]->read());
 }
 
 ShardStats LithoServer::stats() const {
-  ShardStats total;
-  std::vector<double> exact;
-  std::uint64_t lat_count = 0;
-  bool all_exact = true;  // every shard's history fits its exact window
-  std::uint64_t completed_ok = 0;
-  double earliest_start = 0.0;
-  for (int s = 0; s < shards(); ++s) {
-    const Shard& sh = *shards_[static_cast<std::size_t>(s)];
-    // Shed before completed, as in shard_stats: keeps the per-shard
-    // shed_in_queue <= completed ordering for the occupancy subtraction.
-    total.shed.shed_in_queue +=
-        sh.shed_in_queue.load(std::memory_order_acquire);
-    total.shed.shed_at_submit +=
-        sh.shed_at_submit.load(std::memory_order_acquire);
-    {
-      LockGuard lk(sh.stats_mu);
-      total.completed += sh.completed;
-      completed_ok += sh.completed_ok;
-      total.batches += sh.batches;
-      lat_count += sh.lat_count;
-      if (sh.lat_count <= Shard::kExactWindow) {
-        exact.insert(exact.end(), sh.exact_latencies.begin(),
-                     sh.exact_latencies.end());
-      } else {
-        all_exact = false;
-      }
-    }
-    // After completed, as in shard_stats: keeps completed <= submitted.
-    total.submitted += sh.submitted.load(std::memory_order_acquire);
-    earliest_start = std::max(earliest_start, uptime_seconds(sh.started_at));
+  ShardRead total;
+  ShardStats& t = total.st;
+  for (const auto& shard : shards_) {
+    const ShardRead r = shard->read();
+    // Exact concat-and-sort only while *every* shard is still inside its
+    // exact window (the concatenation is then the complete sample); one
+    // shard past it and the aggregate reads the bucket-wise histogram
+    // merge instead — mixing an exact vector into a bucketed merge would
+    // bias ranks.
+    total.exact = total.exact && r.exact;
+    t.submitted += r.st.submitted;
+    t.completed += r.st.completed;
+    t.completed_ok += r.st.completed_ok;
+    t.batches += r.st.batches;
+    t.queue_depth += r.st.queue_depth;
+    t.latency_samples += r.st.latency_samples;
+    t.shed.shed_at_submit += r.st.shed.shed_at_submit;
+    t.shed.shed_in_queue += r.st.shed.shed_in_queue;
+    t.autotune_updates += r.st.autotune_updates;
     // Policy/estimate fields have no single aggregate value; report the
     // widest currently in force so dashboards see how far tuning has
-    // reached.
-    total.est_service_us =
-        std::max(total.est_service_us,
-                 sh.est_service_us.load(std::memory_order_relaxed));
-    total.max_batch = std::max(
-        total.max_batch, sh.cur_max_batch.load(std::memory_order_relaxed));
-    total.max_delay_us =
-        std::max(total.max_delay_us,
-                 static_cast<double>(
-                     sh.cur_max_delay_us.load(std::memory_order_relaxed)));
-    total.autotune_updates +=
-        sh.tune_updates.load(std::memory_order_relaxed);
-    // Swaps publish shard 0 first, so the max is the newest generation any
-    // shard could hand to a submit right now.
-    total.kernel_generation =
-        std::max(total.kernel_generation, sh.current_generation());
+    // reached.  Swaps publish shard 0 first, so the max generation is the
+    // newest any shard could hand to a submit right now.
+    t.est_service_us = std::max(t.est_service_us, r.st.est_service_us);
+    t.max_batch = std::max(t.max_batch, r.st.max_batch);
+    t.max_delay_us = std::max(t.max_delay_us, r.st.max_delay_us);
+    t.kernel_generation = std::max(t.kernel_generation, r.st.kernel_generation);
+    total.uptime_s = std::max(total.uptime_s, r.uptime_s);
+    total.exact_latencies.insert(total.exact_latencies.end(),
+                                 r.exact_latencies.begin(),
+                                 r.exact_latencies.end());
+    total.hist += r.hist;
   }
-  for (int s = 0; s < shards(); ++s) {
-    total.queue_depth += shards_[static_cast<std::size_t>(s)]->queue.depth();
-  }
-  const std::uint64_t batch_served =
-      total.completed - total.shed.shed_in_queue;
-  total.mean_batch_occupancy =
-      total.batches == 0 ? 0.0
-                         : static_cast<double>(batch_served) /
-                               static_cast<double>(total.batches);
-  total.shed.accepted = total.submitted;
-  total.shed.goodput_rps =
-      earliest_start > 0.0 ? static_cast<double>(completed_ok) / earliest_start
-                           : 0.0;
-  total.latency_samples = lat_count;
-  // Exact concat-and-sort only while *every* shard is still inside its
-  // exact window (the concatenation is then the complete sample); one
-  // histogram past the window and the whole aggregate reads as a
-  // bucket-wise histogram merge instead — mixing an exact vector into a
-  // bucketed merge would bias ranks.
-  if (all_exact) {
-    fill_percentiles_exact(std::move(exact), total);
-  } else {
-    obs::HistogramSnapshot merged;
-    for (int s = 0; s < shards(); ++s) {
-      merged += shards_[static_cast<std::size_t>(s)]->latency->snapshot();
-    }
-    fill_percentiles_hist(merged, total);
-  }
-  return total;
+  return finish(std::move(total));
 }
 
 }  // namespace nitho::serve

@@ -42,9 +42,10 @@
 //     steers (max_batch, max_delay) toward the SLO target online.  The
 //     policy hot-swaps like kernel snapshots (swap_slo).
 //
-// Per-shard stats (queue depth, batch count/occupancy, p50/p99 latency
-// over a sliding window, shed/goodput accounting) are exported for load
-// shedding and dashboards.
+// Per-shard stats (queue depth, batch count/occupancy, p50/p99 latency,
+// shed/goodput accounting) are exported for load shedding and dashboards.
+// Every count lives in one place, the server's metrics registry
+// (serve.shard<s>.*); ShardStats is a view over it (DESIGN.md §12.1).
 
 #include <atomic>
 #include <chrono>
@@ -100,9 +101,11 @@ struct ServeOptions {
   RouteMode route = RouteMode::kOutPxAffinity;
   /// Admission control + SLO autotune; nullopt (default) = PR 3 behavior.
   std::optional<SloPolicy> slo;
-  /// Metrics registry the server publishes into (DESIGN.md §12); null
+  /// Metrics registry the server keeps its counts in (DESIGN.md §12); null
   /// (default) = the server creates a private one.  Pass a shared registry
-  /// to aggregate serve/train/rollout metrics in one snapshot.
+  /// to aggregate serve/train/rollout metrics in one snapshot — but only
+  /// one server per registry: the constructor throws check_error when the
+  /// registry already holds serve.shard* metrics.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   /// Request-span tracing; disabled by default.  With it disabled, every
   /// instrumentation site is a single branch and served results are
@@ -111,10 +114,8 @@ struct ServeOptions {
 };
 
 /// Admission-control accounting (all zero while no SloPolicy is active).
+/// Accepted requests are ShardStats::submitted.
 struct ShedStats {
-  /// Admitted into a shard queue — mirrors ShardStats::submitted so the
-  /// admission picture (accepted vs shed) reads from one struct.
-  std::uint64_t accepted = 0;
   std::uint64_t shed_at_submit = 0;  ///< rejected by the wait estimate
   std::uint64_t shed_in_queue = 0;   ///< expired while queued (on dequeue)
   /// Value-resolved completions per second of server uptime — the rate the
@@ -122,15 +123,22 @@ struct ShedStats {
   double goodput_rps = 0.0;
 };
 
+/// A read of one shard's (or, from stats(), every shard's) registry metrics.
+/// Per-metric atomic, not a consistent cut, but the read order keeps
+/// shed.shed_in_queue <= completed <= submitted, completed_ok <= completed
+/// and latency_samples <= completed, and a request whose future has
+/// resolved is already counted.
 struct ShardStats {
   std::uint64_t submitted = 0;   ///< requests accepted into the queue
   /// Accepted requests whose futures resolved (value, engine error, or
   /// queue shed).  Submit-shed futures also resolve, but those requests
   /// were never accepted and appear only in ShedStats::shed_at_submit.
   std::uint64_t completed = 0;
+  /// Completed with a value: goodput, the numerator of goodput_rps.
+  std::uint64_t completed_ok = 0;
   std::uint64_t batches = 0;     ///< engine sweeps executed
-  /// (completed - shed.shed_in_queue) / batches: queue sheds resolve
-  /// without ever occupying a batch slot.
+  /// latency_samples / batches: the requests batches served (queue sheds
+  /// resolve without ever occupying a batch slot).
   double mean_batch_occupancy = 0.0;
   std::size_t queue_depth = 0;   ///< instantaneous
   /// Submit-to-resolve latency percentiles in microseconds.  Exact
@@ -144,7 +152,8 @@ struct ShardStats {
   /// latency_samples == 0.
   double p50_latency_us = std::numeric_limits<double>::quiet_NaN();
   double p99_latency_us = std::numeric_limits<double>::quiet_NaN();
-  /// Completed requests contributing to the percentiles.
+  /// Requests batches served: the completions contributing to the
+  /// percentiles (queue sheds record no latency).
   std::uint64_t latency_samples = 0;
   /// EWMA of per-request service time (µs), the basis of the submit-path
   /// wait estimate; 0 until the first batch completes.
@@ -184,8 +193,11 @@ class LithoServer {
 
   /// Submits one mask for aerial (or resist) simulation at out_px.  Blocks
   /// while the target shard's queue is full (backpressure); throws
-  /// check_error if the server is stopped or the request is invalid
-  /// against the current kernel snapshot (out_px < kernel_dim).
+  /// check_error if the server is stopped or the request is invalid: an
+  /// empty mask, out_px < kernel_dim of the current kernel snapshot, or a
+  /// mask with a non-finite (NaN/Inf) pixel.  A non-finite mask can only
+  /// yield a non-finite image, so it is refused before it is admitted —
+  /// neither served nor shed, and not counted (DESIGN.md §9.1).
   ///
   /// `deadline` bounds how long the request may wait in the shard queue.
   /// kNoDeadline means: the shard's SloPolicy default (submit time +
@@ -200,7 +212,8 @@ class LithoServer {
   /// Non-blocking submit: nullopt (mask intact) when the shard queue is
   /// full — the caller's load-shedding signal.  A stopped server is not
   /// retryable, so it throws check_error like submit() instead of
-  /// masquerading as backpressure.  Deadline semantics as in submit(): an
+  /// masquerading as backpressure; so does an invalid request, with the
+  /// mask intact.  Deadline semantics as in submit(): an
   /// admission shed returns a DeadlineExceeded future, not nullopt.
   std::optional<std::future<Grid<double>>> try_submit(
       Grid<double>& mask, int out_px, RequestKind kind = RequestKind::kAerial,

@@ -189,6 +189,33 @@ TEST(Rollout, DivergedReplicaZeroLosesAndAdoptsTheWinner) {
   server.stop();
 }
 
+TEST(Rollout, EveryReplicaDivergedKeepsTheIncumbent) {
+  RolloutConfig cfg = tiny_rollout_config();
+  RolloutController ctl(cfg, tiny_sets().train, tiny_sets().holdout);
+  for (int r = 0; r < ctl.replica_count(); ++r) {
+    for (const nn::Var& p : ctl.replica(r).model().parameters()) {
+      std::fill(p->value.data(), p->value.data() + p->value.numel(),
+                std::numeric_limits<float>::quiet_NaN());
+    }
+  }
+  ServeOptions opt;
+  opt.shards = 1;
+  Rng rng = make_rng(92);
+  LithoServer server(FastLitho(random_kernels(2, 9, rng)), opt);
+  const auto incumbent = server.snapshot();
+  const std::vector<Grid<cd>> kernels_before = *incumbent->kernels_shared();
+  const RoundResult res = ctl.run_round(&server);
+  EXPECT_EQ(res.winner, -1);
+  for (double l : res.eval_losses) EXPECT_FALSE(std::isfinite(l));
+  EXPECT_EQ(res.generation, 0u);
+  EXPECT_EQ(ctl.rounds_done(), 1);
+  EXPECT_EQ(ctl.stats().swaps, 0u);
+  EXPECT_EQ(server.generation(), 0u);
+  EXPECT_EQ(server.snapshot(), incumbent);
+  EXPECT_EQ(*server.snapshot()->kernels_shared(), kernels_before);
+  server.stop();
+}
+
 TEST(Rollout, ReplicaStateRoundTripsIntoAFreshReplica) {
   RolloutConfig cfg = tiny_rollout_config();
   RolloutController ctl(cfg, tiny_sets().train, tiny_sets().holdout);

@@ -11,6 +11,7 @@
 #include <barrier>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <latch>
 #include <limits>
@@ -57,6 +58,9 @@ ServeRequest make_req(int tag, std::shared_ptr<const FastLitho> litho,
   return req;
 }
 
+/// The `pushed` counter the RequestQueue unit tests hand their queues.
+obs::Counter queue_pushes;
+
 std::shared_ptr<const FastLitho> dummy_litho(std::uint64_t salt) {
   Rng rng = make_rng(salt);
   return std::make_shared<const FastLitho>(
@@ -68,7 +72,7 @@ std::shared_ptr<const FastLitho> dummy_litho(std::uint64_t salt) {
 // ---------------------------------------------------------------------------
 
 TEST(RequestQueue, FifoOrderAndDepth) {
-  RequestQueue q(4);
+  RequestQueue q(4, queue_pushes);
   const auto litho = dummy_litho(1);
   for (int i = 0; i < 3; ++i) {
     ServeRequest r = make_req(i, litho);
@@ -84,7 +88,7 @@ TEST(RequestQueue, FifoOrderAndDepth) {
 }
 
 TEST(RequestQueue, TryPushFailsWhenFullAndKeepsRequest) {
-  RequestQueue q(2);
+  RequestQueue q(2, queue_pushes);
   const auto litho = dummy_litho(2);
   ServeRequest a = make_req(0, litho), b = make_req(1, litho);
   ASSERT_EQ(q.try_push(a), RequestQueue::PushResult::kOk);
@@ -98,7 +102,7 @@ TEST(RequestQueue, TryPushFailsWhenFullAndKeepsRequest) {
 }
 
 TEST(RequestQueue, PushBlocksUntilPopMakesRoom) {
-  RequestQueue q(1);
+  RequestQueue q(1, queue_pushes);
   const auto litho = dummy_litho(3);
   ServeRequest first = make_req(0, litho);
   ASSERT_TRUE(q.push(first));
@@ -119,7 +123,7 @@ TEST(RequestQueue, PushBlocksUntilPopMakesRoom) {
 }
 
 TEST(RequestQueue, CloseDrainsAcceptedItemsThenReportsClosed) {
-  RequestQueue q(4);
+  RequestQueue q(4, queue_pushes);
   const auto litho = dummy_litho(4);
   ServeRequest a = make_req(7, litho);
   ASSERT_TRUE(q.push(a));
@@ -137,7 +141,7 @@ TEST(RequestQueue, CloseDrainsAcceptedItemsThenReportsClosed) {
 }
 
 TEST(RequestQueue, CloseWakesBlockedProducerAndConsumer) {
-  RequestQueue q(1);
+  RequestQueue q(1, queue_pushes);
   const auto litho = dummy_litho(5);
   ServeRequest fill = make_req(0, litho);
   ASSERT_TRUE(q.push(fill));
@@ -145,7 +149,7 @@ TEST(RequestQueue, CloseWakesBlockedProducerAndConsumer) {
     ServeRequest r = make_req(1, litho);
     EXPECT_FALSE(q.push(r));  // blocked on full, then woken by close
   });
-  RequestQueue empty(1);
+  RequestQueue empty(1, queue_pushes);
   std::thread consumer([&] {
     ServeRequest out;
     EXPECT_EQ(empty.pop(out), RequestQueue::PopResult::kClosed);
@@ -158,7 +162,7 @@ TEST(RequestQueue, CloseWakesBlockedProducerAndConsumer) {
 }
 
 TEST(RequestQueue, PopUntilTimesOutOnEmptyQueue) {
-  RequestQueue q(2);
+  RequestQueue q(2, queue_pushes);
   ServeRequest out;
   EXPECT_EQ(q.pop_until(out, Clock::now() + std::chrono::milliseconds(5)),
             RequestQueue::PopResult::kTimeout);
@@ -779,6 +783,138 @@ TEST(LithoServer, RejectsInvalidSubmissions) {
   EXPECT_THROW(server.try_submit(mask, 8), check_error);
   EXPECT_EQ(mask, copy);
   EXPECT_EQ(server.stats().submitted, 0u);  // rejected work is not counted
+}
+
+TEST(LithoServer, RejectsNonFiniteMasksAtSubmit) {
+  ServerHarness h(121);
+  LithoServer server(h.make_litho());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Grid<double> mask = random_mask(32, 32, h.rng);
+    mask(5, 7) = bad;
+    const Grid<double> copy = mask;
+    EXPECT_THROW(server.submit(mask, 16), check_error);
+    EXPECT_THROW(server.try_submit(mask, 16), check_error);
+    // Intact bit for bit (NaN != NaN, so compare the bytes).
+    ASSERT_EQ(mask.size(), copy.size());
+    EXPECT_EQ(std::memcmp(mask.data(), copy.data(),
+                          mask.size() * sizeof(double)),
+              0);
+  }
+  EXPECT_EQ(server.stats().submitted, 0u);
+}
+
+TEST(LithoServer, StatsReadMidFlightKeepTheirInvariants) {
+  // Clients submit while a reader polls: every read, per shard and
+  // aggregate, must satisfy the ordering invariants ShardStats documents —
+  // including while queue sheds are being counted.
+  ServerHarness h(122);
+  ServeOptions opts;
+  opts.shards = 2;
+  opts.queue_capacity = 16;
+  opts.batch.max_batch = 4;
+  opts.batch.max_delay = std::chrono::microseconds(200);
+  serve::SloPolicy zero_wait;  // default deadline == submit instant
+  zero_wait.max_queue_wait = std::chrono::microseconds(0);
+  opts.slo = zero_wait;
+  LithoServer server(h.make_litho(), opts);
+
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 24;
+  std::vector<std::vector<Grid<double>>> masks(kClients);
+  for (auto& mine : masks) {
+    for (int i = 0; i < kPerClient; ++i) {
+      mine.push_back(random_mask(32, 32, h.rng));
+    }
+  }
+  const auto check_read = [](const ShardStats& st) {
+    EXPECT_LE(st.shed.shed_in_queue, st.completed);
+    EXPECT_LE(st.completed, st.submitted);
+    EXPECT_LE(st.latency_samples, st.completed);
+    EXPECT_LE(st.completed_ok, st.completed);
+  };
+  std::atomic<bool> clients_done{false};
+  std::atomic<int> reads{0};
+  std::thread reader([&] {
+    while (!clients_done.load()) {
+      check_read(server.stats());
+      for (int s = 0; s < server.shards(); ++s) {
+        check_read(server.shard_stats(s));
+      }
+      reads.fetch_add(1);
+    }
+  });
+  // Even requests take the zero-wait default deadline and shed (at submit,
+  // or in the queue when the wait estimate admitted them); odd ones carry
+  // a far deadline and are served.
+  std::vector<std::vector<std::future<Grid<double>>>> futs(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        const auto deadline = i % 2 == 0
+                                  ? serve::kNoDeadline
+                                  : Clock::now() + std::chrono::hours(1);
+        futs[static_cast<std::size_t>(c)].push_back(server.submit(
+            masks[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)],
+            16, RequestKind::kAerial, deadline));
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    for (int i = 0; i < kPerClient; ++i) {
+      auto& f = futs[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)];
+      if (i % 2 == 0) {
+        EXPECT_THROW(f.get(), serve::DeadlineExceeded);
+      } else {
+        EXPECT_EQ(f.get(),
+                  h.expected(masks[static_cast<std::size_t>(c)]
+                                  [static_cast<std::size_t>(i)],
+                             16, RequestKind::kAerial));
+      }
+    }
+  }
+  clients_done.store(true);
+  reader.join();
+  EXPECT_GE(reads.load(), 1);
+  const ShardStats st = server.stats();
+  check_read(st);
+  // Nothing had completed when the first request was submitted, so the
+  // wait estimate admitted it and it shed in the queue.
+  EXPECT_GE(st.shed.shed_in_queue, 1u);
+  EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_EQ(st.completed_ok,
+            static_cast<std::uint64_t>(kClients * kPerClient / 2));
+  EXPECT_EQ(st.submitted + st.shed.shed_at_submit,
+            static_cast<std::uint64_t>(kClients * kPerClient));
+  server.stop();
+}
+
+TEST(LithoServer, SecondServerOnTheSameRegistryIsRefused) {
+  // The registry metrics are each shard's only count store, so a second
+  // server on the same registry would fold its counts into the first's.
+  ServerHarness h(123);
+  auto registry = std::make_shared<obs::MetricsRegistry>();
+  ServeOptions opts;
+  opts.metrics = registry;
+  LithoServer first(h.make_litho(), opts);
+  const Grid<double> mask = random_mask(32, 32, h.rng);
+  const Grid<double> want = h.expected(mask, 16, RequestKind::kAerial);
+  EXPECT_EQ(first.submit(mask, 16).get(), want);
+  const ShardStats before = first.stats();
+
+  opts.shards = 2;
+  EXPECT_THROW({ LithoServer second(h.make_litho(), opts); }, check_error);
+
+  const ShardStats after = first.stats();
+  EXPECT_EQ(after.submitted, before.submitted);
+  EXPECT_EQ(after.completed, before.completed);
+  EXPECT_EQ(after.batches, before.batches);
+  EXPECT_EQ(after.latency_samples, before.latency_samples);
+  EXPECT_EQ(first.submit(mask, 16).get(), want);
+  EXPECT_EQ(first.stats().completed, 2u);
+  first.stop();
 }
 
 TEST(LithoServer, ExecuteTimeFailureResolvesFutureWithException) {
