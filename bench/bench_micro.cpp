@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "fft/spectral.hpp"
@@ -62,23 +63,39 @@ void BM_FftCropCentered(benchmark::State& state) {
 }
 BENCHMARK(BM_FftCropCentered);
 
+// Random Hermitian n x n, except n = 841: the paper TCC (kdim 29 on the
+// 1024 nm tile), whose rank deficiency shortens the QL phase.  The second
+// argument is the pool size (0: the default pool).
 void BM_HermitianEigh(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  Rng rng(4);
   Grid<cd> a(n, n);
-  for (int i = 0; i < n; ++i) {
-    a(i, i) = cd(rng.normal(), 0.0);
-    for (int j = i + 1; j < n; ++j) {
-      const cd v(rng.normal(), rng.normal());
-      a(i, j) = v;
-      a(j, i) = std::conj(v);
+  if (n == 841) {
+    OpticalSystem sys;
+    a = build_tcc(sys, 1024, kernel_dim(1024, sys.wavelength_nm, sys.na));
+  } else {
+    Rng rng(4);
+    for (int i = 0; i < n; ++i) {
+      a(i, i) = cd(rng.normal(), 0.0);
+      for (int j = i + 1; j < n; ++j) {
+        const cd v(rng.normal(), rng.normal());
+        a(i, j) = v;
+        a(j, i) = std::conj(v);
+      }
     }
   }
+  set_parallel_workers(static_cast<int>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(eigh(a));
   }
+  set_parallel_workers(0);
 }
-BENCHMARK(BM_HermitianEigh)->Arg(64)->Arg(225)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HermitianEigh)
+    ->ArgNames({"n", "workers"})
+    ->Args({64, 0})
+    ->Args({225, 0})
+    ->Args({841, 1})
+    ->Args({841, 0})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TccBuild(benchmark::State& state) {
   OpticalSystem sys;

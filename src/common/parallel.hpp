@@ -28,8 +28,12 @@ void set_parallel_workers(int n);
 ///
 /// May be called from any plain thread (concurrent callers serialize on the
 /// pool, one dispatch at a time — long-lived pinned threads such as the
-/// serving shards coexist with the pool this way), but must not be called
-/// from inside a parallel_for callback: the shared pool does not nest.
+/// serving shards coexist with the pool this way).  Called from inside a
+/// parallel_for callback, it runs fn(0) .. fn(n-1) serially on the calling
+/// thread: the shared pool does not nest, and a nested dispatch neither
+/// waits for the pool it is part of nor spreads wider.  The nested tasks
+/// share the calling thread's thread_local scratch (DESIGN.md §6.2), so a
+/// task must not hold that scratch across a nested call.
 void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 
 /// Grain-size variant: fn(begin, end) over chunks.

@@ -18,12 +18,12 @@
 // additively and |.|^2 erases the sign of zero (DESIGN.md §6.3).
 //
 // Thread-safety: aerial / aerial_batch may be called concurrently from
-// multiple threads, but not from inside a parallel_for callback — the
-// shared thread pool does not nest.  The engine itself is immutable after
-// construction; the per-kernel scratch (an out_px^2 field plus FFT
-// buffers) is a function-local thread_local, grown to the largest out_px a
-// thread has evaluated and held for that thread's lifetime, shared by every
-// engine the thread runs.
+// multiple threads; called from inside a parallel_for callback they run
+// serially on that thread, as the shared thread pool does not nest.  The
+// engine itself is immutable after construction; the per-kernel scratch
+// (an out_px^2 field plus FFT buffers) is a function-local thread_local,
+// grown to the largest out_px a thread has evaluated and held for that
+// thread's lifetime, shared by every engine the thread runs.
 
 #include <memory>
 #include <vector>

@@ -1,12 +1,101 @@
 #include "math/hermitian_eig.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace nitho {
 namespace {
+
+// Row tasks of the pooled loops carry about this many complex multiply-adds
+// each, so an n = 841 step splits into dozens of chunks while a step of a
+// small matrix stays one chunk (parallel_for then runs it inline).
+constexpr std::int64_t kChunkMacs = 4096;
+
+// Plane rotations the QL sweeps record before they are replayed over the
+// eigenvector rows: ~200 KB of (index, c, s), read once per row from L2.
+constexpr std::size_t kRotationBatch = 8192;
+
+// Q rows whose reflector coefficients are formed together (four-row dots)
+// before those rows are updated.
+constexpr std::int64_t kQRowBlock = 16;
+
+std::int64_t rows_per_chunk(std::int64_t row_len) {
+  return std::max<std::int64_t>(1, kChunkMacs / row_len);
+}
+
+// The complex loops below spell out (a + bi)(c + di) = (ac - bd, ad + bc),
+// the product std::complex<double> computes for finite operands; written on
+// the re/im doubles (std::complex<double> is array-compatible with
+// double[2]) they carry no NaN-recovery branch, so GCC can vectorize the
+// element-wise ones.  eigh admits finite input only, which keeps these
+// loops bit-identical to the std::complex arithmetic they replace.
+
+// out[r] = sum_j rows[r][j] * v[j] for R rows, each accumulated in
+// ascending j.  The R sums are independent chains, so interleaving them
+// hides the add latency a single running sum is bound by.
+template <int R>
+void dots(const cd* const* rows, const cd* v, int m, cd* out) {
+  const double* x[R];
+  for (int r = 0; r < R; ++r) x[r] = reinterpret_cast<const double*>(rows[r]);
+  const double* y = reinterpret_cast<const double*>(v);
+  double re[R] = {}, im[R] = {};
+  for (int j = 0; j < m; ++j) {
+    const double c = y[2 * j], d = y[2 * j + 1];
+    for (int r = 0; r < R; ++r) {
+      const double a = x[r][2 * j], b = x[r][2 * j + 1];
+      re[r] += a * c - b * d;
+      im[r] += a * d + b * c;
+    }
+  }
+  for (int r = 0; r < R; ++r) out[r] = cd(re[r], im[r]);
+}
+
+// dots() over rows(b) .. rows(e - 1), four at a time.
+template <typename RowAt>
+void dots_range(std::int64_t b, std::int64_t e, RowAt rows, const cd* v,
+                int m, cd* out) {
+  const cd* r4[4];
+  std::int64_t i = b;
+  for (; i + 4 <= e; i += 4) {
+    for (int r = 0; r < 4; ++r) r4[r] = rows(i + r);
+    dots<4>(r4, v, m, out + (i - b));
+  }
+  for (; i < e; ++i) {
+    r4[0] = rows(i);
+    dots<1>(r4, v, m, out + (i - b));
+  }
+}
+
+// row[j] -= s * conj(u[j]) + t * conj(v[j]) for j in [0, m).
+void sub_rank2(cd* row, cd s, const cd* u, cd t, const cd* v, int m) {
+  double* x = reinterpret_cast<double*>(row);
+  const double* uu = reinterpret_cast<const double*>(u);
+  const double* vv = reinterpret_cast<const double*>(v);
+  const double sa = s.real(), sb = s.imag();
+  const double ta = t.real(), tb = t.imag();
+  for (int j = 0; j < m; ++j) {
+    const double uc = uu[2 * j], ud = -uu[2 * j + 1];
+    const double vc = vv[2 * j], vd = -vv[2 * j + 1];
+    x[2 * j] -= (sa * uc - sb * ud) + (ta * vc - tb * vd);
+    x[2 * j + 1] -= (sa * ud + sb * uc) + (ta * vd + tb * vc);
+  }
+}
+
+// row[j] -= s * conj(v[j]) for j in [0, m).
+void sub_scaled_conj(cd* row, cd s, const cd* v, int m) {
+  double* x = reinterpret_cast<double*>(row);
+  const double* vv = reinterpret_cast<const double*>(v);
+  const double sa = s.real(), sb = s.imag();
+  for (int j = 0; j < m; ++j) {
+    const double c = vv[2 * j], d = -vv[2 * j + 1];
+    x[2 * j] -= sa * c - sb * d;
+    x[2 * j + 1] -= sa * d + sb * c;
+  }
+}
 
 // Complex Householder reflector in LAPACK zlarfg convention.
 // Given x (length m, x[0] = alpha), produce (v, tau, beta) with v[0] = 1 and
@@ -41,9 +130,60 @@ Reflector make_reflector(const std::vector<cd>& x) {
   return r;
 }
 
+// One recorded QL plane rotation of columns (i, i + 1).
+struct Rotation {
+  int i;
+  double c, s;
+};
+
+// Applies rot, in order, to R rows of z at once.  Rotation i - 1 reads
+// the column i that rotation i just wrote, so one row is a dependent chain;
+// R rows interleave R independent ones.
+template <int R>
+void rotate_rows(double* const* rows, const std::vector<Rotation>& rot) {
+  for (const Rotation& t : rot) {
+    for (int r = 0; r < R; ++r) {
+      double* zi = rows[r] + 2 * t.i;
+      const double gr = zi[0], gi = zi[1];
+      const double fr = zi[2], fi = zi[3];
+      zi[2] = t.s * gr + t.c * fr;
+      zi[3] = t.s * gi + t.c * fi;
+      zi[0] = t.c * gr - t.s * fr;
+      zi[1] = t.c * gi - t.s * fi;
+    }
+  }
+}
+
+// Applies the recorded rotations, in order, to every row of z: row k sees
+// exactly the sequence of updates the column-at-a-time loop gave it, one
+// row (contiguous, L1-resident) at a time instead of a column stride per
+// rotation.  Rows are independent, so they split over the pool.
+void replay_rotations(const std::vector<Rotation>& rot, Grid<cd>& z) {
+  if (rot.empty()) return;
+  const auto count = static_cast<std::int64_t>(rot.size());
+  const std::int64_t grain = 4 * rows_per_chunk(4 * count);  // 4-row groups
+  parallel_for_chunked(z.rows(), grain, [&](std::int64_t b, std::int64_t e) {
+    double* rows[4];
+    auto row = [&](std::int64_t k) {
+      return reinterpret_cast<double*>(z.row(static_cast<int>(k)));
+    };
+    std::int64_t k = b;
+    for (; k + 4 <= e; k += 4) {
+      for (int r = 0; r < 4; ++r) rows[r] = row(k + r);
+      rotate_rows<4>(rows, rot);
+    }
+    for (; k < e; ++k) {
+      rows[0] = row(k);
+      rotate_rows<1>(rows, rot);
+    }
+  });
+}
+
 // Implicit-shift QL on a real symmetric tridiagonal (d diag, e subdiag with
 // e[i] coupling i and i+1), accumulating the real plane rotations into the
-// complex column basis z.  Classic EISPACK tql2.
+// complex column basis z.  Classic EISPACK tql2, except that the d/e
+// recurrence (which never reads z) runs ahead and its rotations are
+// replayed over z in batches (replay_rotations).
 void tridiag_ql(std::vector<double>& d, std::vector<double>& e, Grid<cd>& z) {
   const int n = static_cast<int>(d.size());
   if (n <= 1) return;
@@ -61,6 +201,8 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& e, Grid<cd>& z) {
   }
   const double floor_tol = 1e-15 * anorm;
 
+  std::vector<Rotation> rot;
+  rot.reserve(kRotationBatch + static_cast<std::size_t>(n));
   for (int l = 0; l < n; ++l) {
     int iter = 0;
     int m = l;
@@ -82,7 +224,7 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& e, Grid<cd>& z) {
           const double b = c * e[i];
           r = std::hypot(f, g);
           e[i + 1] = r;
-          if (r == 0.0) {
+          if (r == 0.0) {  // this rotation is not applied
             d[i + 1] -= p;
             e[m] = 0.0;
             underflow = true;
@@ -95,11 +237,11 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& e, Grid<cd>& z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          for (int k = 0; k < n; ++k) {
-            const cd fk = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * fk;
-            z(k, i) = c * z(k, i) - s * fk;
-          }
+          rot.push_back(Rotation{i, c, s});
+        }
+        if (rot.size() >= kRotationBatch) {
+          replay_rotations(rot, z);
+          rot.clear();
         }
         if (underflow && i >= l) continue;
         d[l] -= p;
@@ -108,6 +250,7 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& e, Grid<cd>& z) {
       }
     } while (m != l);
   }
+  replay_rotations(rot, z);
 }
 
 void sort_ascending(EighResult& r) {
@@ -118,10 +261,12 @@ void sort_ascending(EighResult& r) {
     return r.eigenvalues[a] < r.eigenvalues[b];
   });
   std::vector<double> w(n);
+  for (int j = 0; j < n; ++j) w[j] = r.eigenvalues[order[j]];
   Grid<cd> v(n, n);
-  for (int j = 0; j < n; ++j) {
-    w[j] = r.eigenvalues[order[j]];
-    for (int i = 0; i < n; ++i) v(i, j) = r.eigenvectors(i, order[j]);
+  for (int i = 0; i < n; ++i) {
+    const cd* src = r.eigenvectors.row(i);
+    cd* dst = v.row(i);
+    for (int j = 0; j < n; ++j) dst[j] = src[order[j]];
   }
   r.eigenvalues = std::move(w);
   r.eigenvectors = std::move(v);
@@ -132,6 +277,11 @@ void sort_ascending(EighResult& r) {
 EighResult eigh(const Grid<cd>& a_in) {
   const int n = a_in.rows();
   check(a_in.cols() == n, "eigh requires a square matrix");
+  check(std::all_of(a_in.begin(), a_in.end(),
+                    [](cd z) {
+                      return std::isfinite(z.real()) && std::isfinite(z.imag());
+                    }),
+        "eigh requires a finite matrix (found a NaN or Inf entry)");
   EighResult res;
   res.eigenvalues.assign(n, 0.0);
   res.eigenvectors = Grid<cd>(n, n);
@@ -150,7 +300,9 @@ EighResult eigh(const Grid<cd>& a_in) {
   std::vector<double> d(n), e(n > 1 ? n - 1 : 0, 0.0);
 
   // Householder tridiagonalization: for each column k zero A[k+2.., k] and
-  // make the subdiagonal real; accumulate Q = H_0 H_1 ... .
+  // make the subdiagonal real; accumulate Q = H_0 H_1 ... .  The three
+  // O(n^2) loops of a step are independent across rows, so each splits
+  // over the pool; every row keeps its sequential j order (DESIGN.md §5.4).
   std::vector<cd> x, p, w;
   for (int k = 0; k + 1 < n; ++k) {
     const int m = n - 1 - k;  // reflector length
@@ -160,43 +312,49 @@ EighResult eigh(const Grid<cd>& a_in) {
     e[k] = h.beta;
 
     if (h.tau != cd(0.0, 0.0)) {
+      const std::int64_t grain = rows_per_chunk(m);
       // Trailing block update B <- (I - conj(tau) v v^H) B (I - tau v v^H)
       //                        =  B - v w^H - w v^H,
-      // with p = tau * B v and w = p - (tau |v^H p| / 2 ... ) see below.
+      // with p = tau * B v and w = p - (conj(tau) (v^H p) / 2) v.
       p.assign(m, cd{});
-      for (int i = 0; i < m; ++i) {
-        cd acc{};
-        const cd* row = a.row(k + 1 + i) + (k + 1);
-        for (int j = 0; j < m; ++j) acc += row[j] * h.v[j];
-        p[i] = h.tau * acc;
-      }
+      const cd* v = h.v.data();
+      auto b_row = [&](std::int64_t i) {
+        return a.row(k + 1 + static_cast<int>(i)) + (k + 1);
+      };
+      auto q_row = [&](std::int64_t i) {
+        return q.row(static_cast<int>(i)) + (k + 1);
+      };
+      parallel_for_chunked(m, grain, [&](std::int64_t b, std::int64_t end) {
+        dots_range(b, end, b_row, v, m, p.data() + b);
+        for (std::int64_t i = b; i < end; ++i) p[i] = h.tau * p[i];
+      });
       cd vhp{};
       for (int i = 0; i < m; ++i) vhp += std::conj(h.v[i]) * p[i];
       const cd half = 0.5 * std::conj(h.tau) * vhp;
-      // w = conj(tau) B v - (conj(tau) tau (v^H B v)/2) v;  expressed via p:
-      // conj(tau) B v = conj(tau)/tau * p, but forming it through p keeps one
-      // matvec.  Use w_i = conj(p_i scaled)...  Derivation (DESIGN.md §5):
+      // Derivation (DESIGN.md §5.4):
       //   B' = B - conj(tau) v p0^H - tau p0 v^H + |tau|^2 s v v^H,
       // where p0 = B v, s = v^H p0 (real).  With p = tau p0 this groups as
       //   B' = B - v w^H - w v^H,  w = p - (conj(tau) (v^H p) / 2) v.
       w.assign(m, cd{});
       for (int i = 0; i < m; ++i) w[i] = p[i] - half * h.v[i];
-      for (int i = 0; i < m; ++i) {
-        cd* row = a.row(k + 1 + i) + (k + 1);
-        const cd wi = w[i];
-        const cd vi = h.v[i];
-        for (int j = 0; j < m; ++j) {
-          row[j] -= vi * std::conj(w[j]) + wi * std::conj(h.v[j]);
+      // One dispatch for the rank-2 update of B's m rows (tasks [0, m)) and
+      // the accumulation Q <- Q (I - tau v v^H) over Q's n rows (tasks
+      // [m, m + n), columns k+1..n-1): the two write disjoint matrices.
+      parallel_for_chunked(m + n, grain, [&](std::int64_t b, std::int64_t end) {
+        for (std::int64_t i = b; i < std::min<std::int64_t>(end, m); ++i) {
+          sub_rank2(b_row(i), h.v[i], w.data(), w[i], v, m);
         }
-      }
-      // Accumulate Q <- Q (I - tau v v^H) over columns k+1..n-1.
-      for (int i = 0; i < n; ++i) {
-        cd* row = q.row(i) + (k + 1);
-        cd coef{};
-        for (int j = 0; j < m; ++j) coef += row[j] * h.v[j];
-        coef *= h.tau;
-        for (int j = 0; j < m; ++j) row[j] -= coef * std::conj(h.v[j]);
-      }
+        const std::int64_t qb = std::max<std::int64_t>(b, m) - m;
+        const std::int64_t qe = end - m;
+        cd coef[kQRowBlock];
+        for (std::int64_t c0 = qb; c0 < qe; c0 += kQRowBlock) {
+          const std::int64_t c1 = std::min<std::int64_t>(qe, c0 + kQRowBlock);
+          dots_range(c0, c1, q_row, v, m, coef);
+          for (std::int64_t i = c0; i < c1; ++i) {
+            sub_scaled_conj(q_row(i), h.tau * coef[i - c0], v, m);
+          }
+        }
+      });
     }
     a(k + 1, k) = cd(h.beta, 0.0);
   }
@@ -206,98 +364,6 @@ EighResult eigh(const Grid<cd>& a_in) {
   res.eigenvalues = std::move(d);
   sort_ascending(res);
   return res;
-}
-
-EighResult eigh_jacobi(const Grid<cd>& a_in, int max_sweeps) {
-  const int n = a_in.rows();
-  check(a_in.cols() == n, "eigh_jacobi requires a square matrix");
-  Grid<cd> a(n, n);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      a(i, j) = 0.5 * (a_in(i, j) + std::conj(a_in(j, i)));
-
-  EighResult res;
-  res.eigenvalues.assign(n, 0.0);
-  res.eigenvectors = Grid<cd>(n, n);
-  Grid<cd>& v = res.eigenvectors;
-  for (int i = 0; i < n; ++i) v(i, i) = cd(1.0, 0.0);
-  if (n <= 1) {
-    if (n == 1) res.eigenvalues[0] = a(0, 0).real();
-    return res;
-  }
-
-  double off0 = 0.0;
-  for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j) off0 += norm2(a(i, j));
-  const double tol = std::max(1e-26, off0 * 1e-24);
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off = 0.0;
-    for (int i = 0; i < n; ++i)
-      for (int j = i + 1; j < n; ++j) off += norm2(a(i, j));
-    if (off <= tol) {
-      for (int i = 0; i < n; ++i) res.eigenvalues[i] = a(i, i).real();
-      sort_ascending(res);
-      return res;
-    }
-    for (int p = 0; p < n - 1; ++p) {
-      for (int q = p + 1; q < n; ++q) {
-        const cd apq = a(p, q);
-        const double g = std::abs(apq);
-        if (g < 1e-300) continue;
-        const cd phase = apq / g;  // e^{i phi}
-        const double app = a(p, p).real();
-        const double aqq = a(q, q).real();
-        const double theta = (aqq - app) / (2.0 * g);
-        const double t = std::copysign(1.0, theta) /
-                         (std::abs(theta) + std::hypot(theta, 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        // Unitary block U = diag(1, conj(phase)) * [[c, s], [-s, c]]:
-        //   U = [[c, s], [-s conj(phase), c conj(phase)]].
-        const cd u10 = -s * std::conj(phase);
-        const cd u11 = c * std::conj(phase);
-        // Columns: A <- A U.
-        for (int i = 0; i < n; ++i) {
-          const cd aip = a(i, p), aiq = a(i, q);
-          a(i, p) = c * aip + u10 * aiq;
-          a(i, q) = s * aip + u11 * aiq;
-        }
-        // Rows: A <- U^H A.
-        for (int j = 0; j < n; ++j) {
-          const cd apj = a(p, j), aqj = a(q, j);
-          a(p, j) = c * apj + std::conj(u10) * aqj;
-          a(q, j) = s * apj + std::conj(u11) * aqj;
-        }
-        a(p, q) = cd(0.0, 0.0);
-        a(q, p) = cd(0.0, 0.0);
-        a(p, p) = cd(a(p, p).real(), 0.0);
-        a(q, q) = cd(a(q, q).real(), 0.0);
-        // Accumulate V <- V U.
-        for (int i = 0; i < n; ++i) {
-          const cd vip = v(i, p), viq = v(i, q);
-          v(i, p) = c * vip + u10 * viq;
-          v(i, q) = s * vip + u11 * viq;
-        }
-      }
-    }
-  }
-  check_fail("Jacobi eigensolver did not converge",
-             std::source_location::current());
-}
-
-double eigh_residual(const Grid<cd>& a, const EighResult& r) {
-  const int n = a.rows();
-  double worst = 0.0;
-  for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < n; ++i) {
-      cd av{};
-      for (int k = 0; k < n; ++k) av += a(i, k) * r.eigenvectors(k, j);
-      const cd diff = av - r.eigenvalues[j] * r.eigenvectors(i, j);
-      worst = std::max(worst, std::abs(diff));
-    }
-  }
-  return worst;
 }
 
 }  // namespace nitho

@@ -2,10 +2,9 @@
 // Dense Hermitian eigendecomposition.
 //
 // The TCC matrix (DESIGN.md §2) is Hermitian positive semi-definite; SOCS
-// needs its full spectrum.  Primary algorithm: complex Householder reduction
-// to real symmetric tridiagonal form followed by implicit-shift QL with
-// eigenvector accumulation (the classic EISPACK htridi/tql2 pair).  A cyclic
-// Jacobi solver is provided as an independent cross-check for tests.
+// needs its full spectrum.  Algorithm: complex Householder reduction to real
+// symmetric tridiagonal form followed by implicit-shift QL with eigenvector
+// accumulation (the classic EISPACK htridi/tql2 pair).
 
 #include <vector>
 
@@ -21,14 +20,15 @@ struct EighResult {
 };
 
 /// Householder + implicit QL.  A must be square Hermitian (only its lower
-/// triangle is trusted).  O(n^3), suitable for n up to a few thousand.
+/// triangle is trusted) and finite: a NaN or Inf entry throws check_error
+/// before any work is done.  O(n^3), suitable for n up to a few thousand.
+///
+/// Threads: the O(n^2) row loops of each Householder step and the replay of
+/// each batch of QL rotations run on the shared pool (common/parallel.hpp),
+/// so concurrent eigh calls serialize on it, and a call from inside a
+/// parallel_for task runs serially on that thread.  The result is the same
+/// bit for bit at every pool size: each matrix element sees the same
+/// operations in the same order as in the serial algorithm (DESIGN.md §5.4).
 EighResult eigh(const Grid<cd>& a);
-
-/// Cyclic complex Jacobi rotations; slower but independently derived.
-/// max_sweeps bounds the outer iteration; throws if not converged.
-EighResult eigh_jacobi(const Grid<cd>& a, int max_sweeps = 50);
-
-/// ||A v - w v||_inf over all eigenpairs: a residual diagnostic used in tests.
-double eigh_residual(const Grid<cd>& a, const EighResult& r);
 
 }  // namespace nitho

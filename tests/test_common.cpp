@@ -226,6 +226,35 @@ TEST(Parallel, ConcurrentDispatchersFromPlainThreadsSerialize) {
   set_parallel_workers(0);
 }
 
+TEST(Parallel, NestedDispatchRunsInlineOnTheCallingThread) {
+  // A library call that uses the pool (eigh in GoldenEngine's constructor)
+  // may itself run inside a task.  The inner dispatch must complete, cover
+  // its range once, and stay on the task's thread instead of waiting for
+  // the pool it is part of.
+  set_parallel_workers(4);
+  constexpr int kOuter = 8, kInner = 33;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> foreign{0};
+  parallel_for(kOuter, [&](std::int64_t o) {
+    const std::thread::id self = std::this_thread::get_id();
+    parallel_for_chunked(kInner, 4, [&](std::int64_t b, std::int64_t e) {
+      if (std::this_thread::get_id() != self) foreign.fetch_add(1);
+      for (std::int64_t i = b; i < e; ++i) {
+        hits[static_cast<std::size_t>(o * kInner + i)].fetch_add(1);
+      }
+    });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << i;
+  }
+  EXPECT_EQ(foreign.load(), 0);
+  // The pool still dispatches normally afterwards.
+  std::atomic<int> count{0};
+  parallel_for(100, [&](std::int64_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 100);
+  set_parallel_workers(0);
+}
+
 TEST(Mutex, GuardsCountsAcrossContendingThreads) {
   // The annotated wrappers must behave exactly like the std primitives
   // they forward to: mutual exclusion (no lost increments), try_lock

@@ -1,20 +1,30 @@
 // Unit tests for src/math: Grid container, statistics and the Hermitian
-// eigensolvers (Householder+QL against Jacobi and analytic cases).
+// eigensolver (Householder+QL against Jacobi, analytic cases and, bit for
+// bit, the serial solver it replaced).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "math/cplx.hpp"
 #include "math/grid.hpp"
 #include "math/hermitian_eig.hpp"
 #include "math/stats.hpp"
+#include "optics/tcc.hpp"
+#include "support/legacy_eigh.hpp"
 #include "support/test_support.hpp"
 
 namespace nitho {
 namespace {
 
+using test::eigh_jacobi;
+using test::eigh_residual;
+using test::legacy_eigh;
 using test::random_hermitian;
 
 TEST(Grid, ConstructionAndIndexing) {
@@ -189,6 +199,92 @@ TEST(Eigh, RejectsNonSquare) {
   Grid<cd> a(2, 3);
   EXPECT_THROW(eigh(a), check_error);
   EXPECT_THROW(eigh_jacobi(a), check_error);
+}
+
+// The solver itself must name the cause: left to run, a NaN only surfaces
+// later as a QL non-convergence.
+void expect_rejected_as_non_finite(const Grid<cd>& a) {
+  try {
+    eigh(a);
+    ADD_FAILURE() << "eigh accepted a non-finite matrix";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Eigh, RejectsNonFiniteEntries) {
+  Rng rng(43);
+  Grid<cd> a = random_hermitian(6, rng);
+  a(4, 1) = cd(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  expect_rejected_as_non_finite(a);
+  a = random_hermitian(6, rng);
+  a(2, 2) = cd(1.0, std::numeric_limits<double>::infinity());
+  expect_rejected_as_non_finite(a);
+}
+
+// memcmp-equality of two decompositions: every eigenvalue and every
+// eigenvector entry, signed zeros included.
+::testing::AssertionResult bit_equal(const EighResult& got,
+                                     const EighResult& want) {
+  if (got.eigenvalues.size() != want.eigenvalues.size() ||
+      !got.eigenvectors.same_shape(want.eigenvectors)) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  if (std::memcmp(got.eigenvalues.data(), want.eigenvalues.data(),
+                  got.eigenvalues.size() * sizeof(double)) != 0) {
+    return ::testing::AssertionFailure() << "eigenvalues differ";
+  }
+  if (std::memcmp(got.eigenvectors.data(), want.eigenvectors.data(),
+                  got.eigenvectors.size() * sizeof(cd)) != 0) {
+    return ::testing::AssertionFailure() << "eigenvectors differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// eigh splits its row loops over the pool; at every pool size it must
+// reproduce the serial solver it replaced bit for bit.
+void expect_matches_legacy(const Grid<cd>& a, const char* what) {
+  const EighResult want = legacy_eigh(a);
+  for (int workers : {1, 2, 4}) {
+    set_parallel_workers(workers);
+    EXPECT_TRUE(bit_equal(eigh(a), want)) << what << ", " << workers
+                                          << " workers";
+  }
+  set_parallel_workers(0);
+}
+
+TEST(Eigh, RandomMatricesMatchLegacyBitForBit) {
+  Rng rng(47);
+  for (int n : {1, 2, 3, 17, 64, 100}) {
+    const Grid<cd> a = random_hermitian(n, rng);
+    expect_matches_legacy(a, ("n=" + std::to_string(n)).c_str());
+  }
+}
+
+TEST(Eigh, RankDeficientTccsMatchLegacyBitForBit) {
+  // TCCs over windows at and beyond the pupil support (512 nm tile: 15 is
+  // the physical kdim) are rank-deficient: 130 and 208 of their QL
+  // deflations pass only through the absolute floor.
+  const OpticalSystem sys;
+  for (int kdim : {15, 21}) {
+    const Grid<cd> tcc = build_tcc(sys, 512, kdim);
+    expect_matches_legacy(tcc, ("kdim=" + std::to_string(kdim)).c_str());
+  }
+}
+
+TEST(Eigh, SubnormalTridiagonalMatchesLegacyBitForBit) {
+  // A real tridiagonal matrix (the reflectors are all identities) at
+  // 2^-1000 with a subnormal off-diagonal: one QL sweep takes the underflow
+  // exit, where a rotation with r == 0 ends the sweep unapplied.
+  const double diag[] = {7, -3, 7, 3, -6, 18};
+  const double off[] = {14, 5, -5, 5, 0};
+  Grid<cd> a(6, 6);
+  for (int i = 0; i < 6; ++i) a(i, i) = cd(std::ldexp(diag[i], -1000), 0.0);
+  for (int i = 0; i < 5; ++i) {
+    a(i + 1, i) = a(i, i + 1) = cd(std::ldexp(off[i], -1044), 0.0);
+  }
+  expect_matches_legacy(a, "subnormal tridiagonal");
 }
 
 class EighSizeSweep : public ::testing::TestWithParam<int> {};
